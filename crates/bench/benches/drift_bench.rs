@@ -50,7 +50,7 @@ fn bench_drift(c: &mut Criterion) {
 
     group.bench_function("detect_plus_retrain_cached", |b| {
         b.iter(|| {
-            let mut cache = DriftCache::new(true);
+            let mut cache = DriftCache::new();
             let report = detect_drift_cached(&rt, 0, &config, &mut cache, &root);
             for node in 0..rt.spec.nodes.len() {
                 black_box(

@@ -85,7 +85,7 @@ pub fn retrain_order(
 
 /// Runs the §3.2 detection loop over all nodes of one application.
 pub fn detect_drift(rt: &AppRuntime, config: &AdaInfConfig, root: &Prng) -> DriftReport {
-    let mut cache = DriftCache::new(true);
+    let mut cache = DriftCache::new();
     detect_drift_cached(rt, 0, config, &mut cache, root)
 }
 
@@ -292,7 +292,7 @@ mod tests {
         let root = Prng::new(5);
         let config = AdaInfConfig::default();
         let plain = detect_drift(&rt, &config, &root);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::new();
         let first = detect_drift_cached(&rt, 0, &config, &mut cache, &root);
         let again = detect_drift_cached(&rt, 0, &config, &mut cache, &root);
         assert!(cache.hits > 0, "second detection must hit the cache");

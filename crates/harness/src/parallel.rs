@@ -6,17 +6,16 @@
 
 use crate::metrics::RunMetrics;
 use crate::sim::{run, RunConfig};
-use adainf_simcore::parallel::fan_out;
+use adainf_simcore::parallel::fan_out_collect;
 
 /// Runs every configuration, using up to `threads` worker threads
 /// (0 = one per configuration, capped at the available parallelism).
 ///
-/// Work distribution is the lock-free atomic work-index pool of
-/// [`adainf_simcore::parallel`]: workers claim job indices from one
-/// shared atomic counter and each writes its result into a dedicated
-/// slot, so many-core sweeps never contend on a queue or results lock.
+/// Work distribution is the pool of [`adainf_simcore::parallel`]: each
+/// configuration moves to the worker that claims it, and workers claim
+/// dynamically, so a sweep mixing short and long runs stays balanced.
 pub fn run_many(configs: Vec<RunConfig>, threads: usize) -> Vec<RunMetrics> {
-    fan_out(configs.len(), threads, |idx| run(configs[idx].clone()))
+    fan_out_collect(configs, threads, || (), |_, config, ()| run(config))
 }
 
 #[cfg(test)]

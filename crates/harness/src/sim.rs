@@ -546,7 +546,7 @@ impl Simulation {
                         }
                     }
                 }
-                parallel::fan_out_indexed_owned(
+                parallel::fan_out_collect(
                     jobs,
                     self.config.train_workers,
                     TrainSliceScratch::default,

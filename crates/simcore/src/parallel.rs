@@ -1,37 +1,44 @@
-//! Deterministic scoped-thread fan-out over an indexed job set.
+//! Deterministic scoped-thread pool over an owned job set.
 //!
-//! The atomic work-index pool pattern used by the harness's experiment
-//! runner (`run_many`) generalises to any batch of independent jobs:
-//! workers claim job indices from one shared atomic counter and each
-//! writes its result into a dedicated `OnceLock` slot, so results return
-//! in input order without a queue or a results lock. Extracted here so
-//! the drift pipeline's per-`(app, node)` artifact builds can fan out
-//! through the same machinery. [`spawn_background`] is the detached
-//! variant of the same discipline: the fan-out runs on real threads
-//! while the caller keeps executing, and results are joined lazily
-//! through an index-addressed [`BackgroundTasks`] handle whose ledger
-//! (execute exactly once, join exactly once) is verified at retirement.
+//! [`fan_out`] is the workspace's one parallel primitive: the experiment
+//! runner (`run_many`), the boundary training flush and the overlapped
+//! drift stage all run on it. Jobs are **owned** and moved to the worker
+//! that claims them; workers claim job indices dynamically from one
+//! shared cursor (so mixed-length jobs stay balanced) and each keeps one
+//! `make_state()` scratch value for its lifetime. Results land in
+//! index-addressed slots that the caller joins **lazily** through a
+//! [`Joins`] handle — [`take`](Joins::take) one index when it is needed,
+//! [`drain`](Joins::drain) the rest — while the workers keep running.
+//! [`fan_out_collect`] is the blocking form: a drain of the same pool.
 //!
-//! Determinism: each job's result is a pure function of its index (the
-//! caller guarantees jobs are independent), every index is claimed by
-//! exactly one worker, and the output vector is assembled by index — so
-//! the result is bit-identical to a sequential `(0..n).map(f)` loop
-//! regardless of thread count or OS scheduling.
+//! The pool is scoped (`std::thread::scope`), so jobs may borrow from the
+//! caller (the training flush lends each job a `&mut` model) and every
+//! worker has exited by the time [`fan_out`] returns.
+//!
+//! Determinism: each job's result is a pure function of its index and
+//! its job (the caller guarantees jobs are independent), every index is
+//! executed by exactly one worker, and results are index-addressed — so
+//! *which* worker ran a job and *when* the caller joined it affect wall
+//! time only, never a value. The result is bit-identical to the
+//! sequential `jobs.into_iter().enumerate().map(…)` loop at any thread
+//! count.
 //!
 //! This module is the **only** sanctioned home for thread spawning in
 //! the workspace (simlint's `no-adhoc-threading` rule): every parallel
-//! construct must route through one of the fan-outs here so the
-//! claim/slot discipline — and the checking below — covers it.
+//! construct must route through [`fan_out`] so the checking below covers
+//! it.
 //!
 //! # Race checking
 //!
 //! Two layers close the loop on the discipline the comments above only
 //! promise:
 //!
-//! * the `race-check` cargo feature instruments [`fan_out_indexed`] with
-//!   a claim bitmap — one atomic claim counter per index — and asserts,
-//!   after the scoped threads join, that every index was claimed exactly
-//!   once and no slot was lost;
+//! * every [`fan_out`] keeps an execute-exactly-once claim ledger (one
+//!   counter per index, bumped by the worker that runs it) and a
+//!   join-exactly-once bitmap on the caller side, and verifies both
+//!   before it returns: a double execution, a double join or a slot the
+//!   caller never joined panics. A worker panic surfaces at the
+//!   [`take`](Joins::take) waiting for its slot instead of deadlocking;
 //! * [`fan_out_check`] is a seeded adversarial schedule-replay harness:
 //!   it derives K deterministic claim-order permutations from a
 //!   [`Prng`] seed, replays the job set under each permutation at every
@@ -43,7 +50,7 @@
 
 use crate::rng::Prng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The worker-thread count a fan-out over `n` jobs actually uses:
 /// `threads` capped at the job count, with `threads == 0` falling back
@@ -64,16 +71,13 @@ pub fn resolved_threads(n: usize, threads: usize) -> usize {
     }
 }
 
-/// One claim counter per job index, armed by the `race-check` feature:
-/// [`fan_out_indexed`] bumps an index's counter when a worker claims it
-/// and [`verify`](ClaimLedger::verify) asserts — after the scoped
-/// threads joined — that every index was claimed exactly once. A double
-/// claim (two workers running the same job) or a lost slot (an index no
-/// worker ran) is a broken work-index pool, never a benign race: both
-/// would silently desynchronise the parallel result from the
-/// sequential loop. ([`fan_out_check`]'s forced replays verify a ledger
-/// unconditionally — it is a checking harness; only the production
-/// [`fan_out_indexed`] instrumentation is behind the feature.)
+/// One claim counter per job index: a worker bumps an index's counter
+/// when it executes that job, and [`verify`](ClaimLedger::verify)
+/// asserts — after the workers exited — that every index ran exactly
+/// once. A double claim (two workers running the same job) or a lost
+/// slot (an index no worker ran) is a broken pool, never a benign race:
+/// both would silently desynchronise the parallel result from the
+/// sequential loop.
 struct ClaimLedger {
     claims: Vec<AtomicUsize>,
 }
@@ -91,313 +95,68 @@ impl ClaimLedger {
     }
 
     /// Asserts the exactly-once claim discipline. Called after the
-    /// scoped threads joined, so all claim counters are quiescent.
+    /// workers exited, so all claim counters are quiescent.
     fn verify(&self, context: &str) {
         for (idx, c) in self.claims.iter().enumerate() {
             let n = c.load(Ordering::Relaxed);
             assert!(
                 n == 1,
-                "race-check: {context}: index {idx} claimed {n} times (expected exactly once)"
+                "{context} ledger: index {idx} executed {n} times (expected exactly once)"
             );
         }
     }
 }
 
-/// Runs `work(index, state)` for every index in `0..n`, fanning out
-/// across up to `threads` worker threads (0 = one per job, capped at the
-/// available parallelism). Each worker owns one `make_state()` value for
-/// its lifetime, so per-thread scratch buffers are built once per worker
-/// rather than once per job. Results return in index order.
-///
-/// With `threads <= 1` or `n <= 1` the jobs run inline on the caller's
-/// thread — same results, no spawn cost.
-pub fn fan_out_indexed<T, S, M, F>(n: usize, threads: usize, make_state: M, work: F) -> Vec<T>
-where
-    T: Send + Sync,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let max_threads = resolved_threads(n, threads);
-    if max_threads <= 1 || n == 1 {
-        let mut state = make_state();
-        return (0..n).map(|i| work(i, &mut state)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-    #[cfg(feature = "race-check")]
-    let ledger = ClaimLedger::new(n);
-
-    std::thread::scope(|scope| {
-        for _ in 0..max_threads {
-            scope.spawn(|| {
-                let mut state = make_state();
-                loop {
-                    // Each index is claimed by exactly one worker, so the
-                    // matching slot write can never collide.
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    #[cfg(feature = "race-check")]
-                    ledger.claim(idx);
-                    let result = work(idx, &mut state);
-                    if slots[idx].set(result).is_err() {
-                        unreachable!("slot {idx} claimed twice");
-                    }
-                }
-            });
-        }
-    });
-
-    #[cfg(feature = "race-check")]
-    ledger.verify("fan_out_indexed");
-
-    slots
-        .into_iter()
-        // simlint: allow(no-unwrap-in-lib) — the scoped threads above joined, so every slot was filled
-        .map(|slot| slot.into_inner().expect("every job completed"))
-        .collect()
-}
-
-/// [`fan_out_indexed`] without per-worker state.
-pub fn fan_out<T, F>(n: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    fan_out_indexed(n, threads, || (), |i, ()| work(i))
-}
-
-/// Runs `work(index, job, state)` for every job in `jobs`, handing each
-/// worker **ownership** of the jobs it executes. Results return in
-/// input order, bit-identical to the sequential
-/// `jobs.into_iter().enumerate().map(…)` loop at any thread count.
-///
-/// Ownership changes the distribution scheme: the indexed fan-outs
-/// share their (borrowed) inputs and let workers claim indices
-/// dynamically, but an owned job must be *moved* to exactly one worker,
-/// and doing that through shared slots would need a lock per handoff
-/// (the `Vec<Mutex<_>>` pattern this function replaces). Instead the
-/// caller's thread deals jobs round-robin — worker `w` owns jobs
-/// `w, w+W, w+2W, …` — so every handoff is a plain move before the
-/// workers start, and each result still lands in its own index-addressed
-/// `OnceLock` slot. The static deal gives up the atomic pool's dynamic
-/// load balancing, which is irrelevant for the near-uniform job sets
-/// this serves (per-`(app, node)` artifact builds of equal-sized
-/// pools); determinism is untouched because results are a pure function
-/// of the job, never of the worker or claim order.
-pub fn fan_out_indexed_owned<J, T, S, M, F>(
-    jobs: Vec<J>,
-    threads: usize,
-    make_state: M,
-    work: F,
-) -> Vec<T>
-where
-    J: Send,
-    T: Send + Sync,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, J, &mut S) -> T + Sync,
-{
-    let n = jobs.len();
-    let max_threads = resolved_threads(n, threads);
-    if max_threads <= 1 || n == 1 {
-        let mut state = make_state();
-        return jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, job)| work(i, job, &mut state))
-            .collect();
-    }
-
-    // Deal the owned jobs round-robin into per-worker lists on the
-    // caller's thread; each list moves into its worker wholesale.
-    let mut deals: Vec<Vec<(usize, J)>> = (0..max_threads).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deals[i % max_threads].push((i, job));
-    }
-    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|scope| {
-        for deal in deals {
-            let slots = &slots;
-            let make_state = &make_state;
-            let work = &work;
-            scope.spawn(move || {
-                let mut state = make_state();
-                for (idx, job) in deal {
-                    let result = work(idx, job, &mut state);
-                    if slots[idx].set(result).is_err() {
-                        unreachable!("slot {idx} dealt twice");
-                    }
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        // simlint: allow(no-unwrap-in-lib) — the scoped threads above joined and every index was dealt to exactly one worker
-        .map(|slot| slot.into_inner().expect("every job completed"))
-        .collect()
-}
-
-/// Per-slot completion state shared between a background stage's
-/// workers and the caller holding its [`BackgroundTasks`] handle.
-struct BackgroundShared<T> {
-    /// `None` = pending, `Some` = completed and not yet joined. A
-    /// joined result is moved out under the same lock, so pending and
-    /// taken are distinguished by the handle's own `taken` bitmap.
-    slots: Mutex<BackgroundSlots<T>>,
+/// Result slots shared between a pool's workers and its [`Joins`]
+/// handle.
+struct Results<T> {
+    state: Mutex<Slots<T>>,
     /// Signalled on every slot completion and on worker exit.
-    cv: Condvar,
+    ready: Condvar,
 }
 
-struct BackgroundSlots<T> {
+struct Slots<T> {
+    /// `None` = pending or already joined (the handle's `taken` bitmap
+    /// tells the two apart), `Some` = completed and not yet joined.
     results: Vec<Option<T>>,
     /// Workers still running. Guarded by the same lock as `results` so
-    /// a join can distinguish "not yet" from "never coming": a worker
-    /// that dies (panics) decrements this on unwind, and a waiter whose
-    /// slot is empty with no producers left must fail loudly instead of
-    /// sleeping forever.
+    /// a join can tell "not yet" from "never coming": a worker that
+    /// panics decrements this on unwind, and a waiter whose slot is
+    /// empty with no workers left fails loudly instead of sleeping
+    /// forever.
     workers_alive: usize,
 }
 
+impl<T> Results<T> {
+    /// Locks the slots. A poisoned lock carries no torn state (slots
+    /// hold whole values, written in one assignment), so it is
+    /// recovered; a worker panic surfaces through `workers_alive`.
+    fn lock(&self) -> MutexGuard<'_, Slots<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Decrements `workers_alive` (and wakes waiters) when a worker exits —
-/// including by panic, so a caller blocked in [`BackgroundTasks::take`]
-/// fails loudly instead of deadlocking on a slot that will never fill.
-struct WorkerExitGuard<T>(Arc<BackgroundShared<T>>);
+/// including by panic, so a caller blocked in [`Joins::take`] fails
+/// loudly instead of deadlocking on a slot that will never fill.
+struct WorkerExit<'a, T>(&'a Results<T>);
 
-impl<T> Drop for WorkerExitGuard<T> {
+impl<T> Drop for WorkerExit<'_, T> {
     fn drop(&mut self) {
-        // simlint: allow(no-unwrap-in-lib) — a poisoned lock here means another worker panicked mid-insert; propagating the panic is the correct outcome
-        let mut slots = self.0.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.workers_alive -= 1;
-        self.0.cv.notify_all();
+        self.0.lock().workers_alive -= 1;
+        self.0.ready.notify_all();
     }
 }
 
-/// Handle to a detached background fan-out started by
-/// [`spawn_background`]: the jobs run on real (non-scoped) worker
-/// threads while the caller keeps executing, and each result is joined
-/// lazily — [`take`](Self::take) one index, [`drain`](Self::drain) the
-/// rest, then [`finish`](Self::finish) to retire the stage.
-///
-/// Determinism is the fan-out contract unchanged: jobs are dealt
-/// round-robin exactly like [`fan_out_indexed_owned`], every result is
-/// a pure function of its job, and results are index-addressed — so
-/// *when* the caller joins a slot affects wall-clock only, never the
-/// value. The ledger discipline is enforced unconditionally (not just
-/// under `race-check`): workers record an execute-exactly-once claim
-/// per index, the handle records a join-exactly-once bitmap, and
-/// [`finish`](Self::finish) verifies both — a double join or an
-/// abandoned slot is a broken pipeline, never a benign outcome.
-pub struct BackgroundTasks<T> {
-    shared: Arc<BackgroundShared<T>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    /// Join-exactly-once bitmap, caller-side (the handle is `!Sync`-ish
-    /// by use: joins happen on one thread).
+/// The caller's handle to a running [`fan_out`]: joins results by index
+/// while the workers are still executing the rest.
+pub struct Joins<'p, T> {
+    results: &'p Results<T>,
+    /// Join-exactly-once bitmap (caller side).
     taken: Vec<bool>,
-    /// Execute-exactly-once claims, worker-side.
-    ledger: Arc<ClaimLedger>,
 }
 
-/// Launches `work(index, job, state)` for every job in `jobs` on up to
-/// `threads` detached worker threads (0 = available parallelism) and
-/// returns immediately with a [`BackgroundTasks`] handle; results are
-/// joined lazily through it. At least one worker is spawned for a
-/// non-empty job set even when the host reports a single core — the
-/// point of a *background* stage is to overlap the caller, and on one
-/// core the OS timeslices the overlap instead.
-///
-/// Jobs are owned and moved to their workers before any run (the
-/// round-robin deal of [`fan_out_indexed_owned`]), so the handoff needs
-/// no queue lock; `make_state` builds one per-worker scratch value, so
-/// per-thread buffers warm once per worker, not once per job.
-pub fn spawn_background<J, T, S, M, F>(
-    jobs: Vec<J>,
-    threads: usize,
-    make_state: M,
-    work: F,
-) -> BackgroundTasks<T>
-where
-    J: Send + 'static,
-    T: Send + 'static,
-    M: Fn() -> S + Send + Sync + 'static,
-    F: Fn(usize, J, &mut S) -> T + Send + Sync + 'static,
-{
-    let n = jobs.len();
-    let shared = Arc::new(BackgroundShared {
-        slots: Mutex::new(BackgroundSlots {
-            results: (0..n).map(|_| None).collect(),
-            workers_alive: 0,
-        }),
-        cv: Condvar::new(),
-    });
-    let ledger = Arc::new(ClaimLedger::new(n));
-    if n == 0 {
-        return BackgroundTasks {
-            shared,
-            workers: Vec::new(),
-            taken: Vec::new(),
-            ledger,
-        };
-    }
-
-    let max_threads = resolved_threads(n, threads).max(1);
-    let mut deals: Vec<Vec<(usize, J)>> = (0..max_threads).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deals[i % max_threads].push((i, job));
-    }
-
-    // simlint: allow(no-unwrap-in-lib) — the workers have not started yet, so the lock cannot be poisoned or contended
-    shared.slots.lock().unwrap().workers_alive = max_threads;
-    let ctx = Arc::new((make_state, work));
-    let workers = deals
-        .into_iter()
-        .map(|deal| {
-            let shared = Arc::clone(&shared);
-            let ledger = Arc::clone(&ledger);
-            let ctx = Arc::clone(&ctx);
-            std::thread::spawn(move || {
-                let _exit = WorkerExitGuard(Arc::clone(&shared));
-                let (make_state, work) = &*ctx;
-                let mut state = make_state();
-                for (idx, job) in deal {
-                    ledger.claim(idx);
-                    let result = work(idx, job, &mut state);
-                    // simlint: allow(no-unwrap-in-lib) — poisoning requires a panic inside this short insert section; propagating it is correct
-                    let mut slots = shared.slots.lock().unwrap();
-                    debug_assert!(slots.results[idx].is_none(), "slot {idx} dealt twice");
-                    slots.results[idx] = Some(result);
-                    shared.cv.notify_all();
-                }
-            })
-        })
-        .collect();
-
-    BackgroundTasks {
-        shared,
-        workers,
-        taken: vec![false; n],
-        ledger,
-    }
-}
-
-impl<T> BackgroundTasks<T> {
-    /// Number of jobs in the stage.
-    pub fn len(&self) -> usize {
-        self.taken.len()
-    }
-
-    /// Whether the stage was spawned over zero jobs.
-    pub fn is_empty(&self) -> bool {
-        self.taken.is_empty()
-    }
-
+impl<T> Joins<'_, T> {
     /// Joins slot `idx`, blocking until its worker has produced the
     /// result, and moves the value out.
     ///
@@ -406,12 +165,8 @@ impl<T> BackgroundTasks<T> {
     /// or if every worker exited without producing it (a worker panic —
     /// surfaced here instead of deadlocking).
     pub fn take(&mut self, idx: usize) -> T {
-        assert!(
-            !self.taken[idx],
-            "background ledger: slot {idx} joined twice"
-        );
-        // simlint: allow(no-unwrap-in-lib) — a poisoned lock means a worker panicked mid-insert; propagating is correct
-        let mut slots = self.shared.slots.lock().unwrap();
+        assert!(!self.taken[idx], "fan_out ledger: slot {idx} joined twice");
+        let mut slots = self.results.lock();
         loop {
             if let Some(result) = slots.results[idx].take() {
                 self.taken[idx] = true;
@@ -419,10 +174,13 @@ impl<T> BackgroundTasks<T> {
             }
             assert!(
                 slots.workers_alive > 0,
-                "background ledger: slot {idx} abandoned (worker died before producing it)"
+                "fan_out ledger: slot {idx} abandoned (a worker panicked before producing it)"
             );
-            // simlint: allow(no-unwrap-in-lib) — same poisoning argument as the lock above
-            slots = self.shared.cv.wait(slots).unwrap();
+            slots = self
+                .results
+                .ready
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -437,45 +195,105 @@ impl<T> BackgroundTasks<T> {
         }
         out
     }
-
-    /// Retires the stage: joins the worker threads and verifies the
-    /// full ledger — every job executed exactly once (worker claims)
-    /// and every result joined exactly once (caller bitmap).
-    ///
-    /// # Panics
-    /// Panics if a worker panicked or any slot was never joined.
-    pub fn finish(mut self) {
-        for handle in self.workers.drain(..) {
-            // simlint: allow(no-unwrap-in-lib) — a worker panic must propagate to the caller, not vanish
-            handle.join().expect("background worker panicked");
-        }
-        self.ledger.verify("spawn_background");
-        for (idx, taken) in self.taken.iter().enumerate() {
-            assert!(
-                taken,
-                "background ledger: slot {idx} spawned but never joined"
-            );
-        }
-    }
 }
 
-impl<T> Drop for BackgroundTasks<T> {
-    /// Joins any still-running workers so a handle dropped on an error
-    /// path never leaves detached threads mutating shared state. No
-    /// ledger assertions here — [`finish`](Self::finish) is the checked
-    /// retirement; double-panicking an unwind helps nobody.
-    fn drop(&mut self) {
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Seeded adversarial schedule-replay check for a [`fan_out_indexed`]
-/// job set. Returns the sequential reference result after asserting
-/// that every adversarial execution reproduces it bit-for-bit:
+/// Runs `work(index, job, state)` for every job in `jobs` on up to
+/// `threads` scoped worker threads (0 = the host's available
+/// parallelism, always capped at the job count) while `join` runs on
+/// the caller's thread with a [`Joins`] handle to the results; returns
+/// what `join` returns.
 ///
-/// 1. the production [`fan_out_indexed`] pool at every thread count in
+/// Workers claim indices in ascending order from one shared cursor and
+/// take ownership of the claimed job; each worker builds one
+/// `make_state()` scratch value and reuses it across every job it runs.
+/// At least one worker runs for a non-empty job set, even at width 1:
+/// the caller's `join` body overlaps the workers rather than running
+/// the jobs itself.
+///
+/// # Panics
+/// Panics (after every worker exited) if `join` left a slot unjoined or
+/// the claim ledger saw an index run other than exactly once; a panic
+/// inside `join` or a worker propagates.
+pub fn fan_out<J, T, S, R>(
+    jobs: Vec<J>,
+    threads: usize,
+    make_state: impl Fn() -> S + Sync,
+    work: impl Fn(usize, J, &mut S) -> T + Sync,
+    join: impl FnOnce(&mut Joins<'_, T>) -> R,
+) -> R
+where
+    J: Send,
+    T: Send,
+{
+    let n = jobs.len();
+    let width = resolved_threads(n, threads);
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let ledger = ClaimLedger::new(n);
+    let results = Results {
+        state: Mutex::new(Slots {
+            results: (0..n).map(|_| None).collect(),
+            workers_alive: width,
+        }),
+        ready: Condvar::new(),
+    };
+
+    let worker = || {
+        let _exit = WorkerExit(&results);
+        let mut state = make_state();
+        loop {
+            // Advancing the iterator cannot panic mid-update, so a
+            // poisoned queue is still whole.
+            let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((idx, job)) = claimed else {
+                break;
+            };
+            ledger.claim(idx);
+            let result = work(idx, job, &mut state);
+            results.lock().results[idx] = Some(result);
+            results.ready.notify_all();
+        }
+    };
+    let (out, taken) = std::thread::scope(|scope| {
+        for _ in 0..width {
+            scope.spawn(worker);
+        }
+        let mut joins = Joins {
+            results: &results,
+            taken: vec![false; n],
+        };
+        let out = join(&mut joins);
+        (out, joins.taken)
+    });
+
+    ledger.verify("fan_out");
+    if let Some(idx) = taken.iter().position(|&t| !t) {
+        panic!("fan_out ledger: slot {idx} executed but never joined");
+    }
+    out
+}
+
+/// The blocking form of [`fan_out`]: joins every result and returns
+/// them in job order.
+pub fn fan_out_collect<J, T, S>(
+    jobs: Vec<J>,
+    threads: usize,
+    make_state: impl Fn() -> S + Sync,
+    work: impl Fn(usize, J, &mut S) -> T + Sync,
+) -> Vec<T>
+where
+    J: Send,
+    T: Send,
+{
+    fan_out(jobs, threads, make_state, work, |joins| {
+        joins.drain().into_iter().map(|(_, result)| result).collect()
+    })
+}
+
+/// Seeded adversarial schedule-replay check for an index-space job set.
+/// Returns the sequential reference result after asserting that every
+/// adversarial execution reproduces it bit-for-bit:
+///
+/// 1. the production [`fan_out`] pool at every thread count in
 ///    `thread_counts` (racy claim order, whatever the OS does);
 /// 2. for each of `permutations` seeds split from `seed`, a **forced**
 ///    deterministic schedule at every thread count: the claim order is
@@ -489,9 +307,9 @@ impl<T> Drop for BackgroundTasks<T> {
 /// capture, order-sensitive accumulation) and results that depend on
 /// *worker identity* (per-worker state leaking between jobs).
 ///
-/// `work` takes the job index plus the worker's state, exactly like
-/// [`fan_out_indexed`]; `make_state` builds one state per worker per
-/// replay. Panics (with the offending schedule named) on any mismatch.
+/// `work` takes the job index plus the worker's state; `make_state`
+/// builds one state per worker per replay. Panics (with the offending
+/// schedule named) on any mismatch.
 pub fn fan_out_check<T, S, M, F>(
     seed: u64,
     permutations: usize,
@@ -511,7 +329,7 @@ where
 
     for &threads in thread_counts {
         // Layer 1: the production pool, OS-scheduled claim order.
-        let pooled = fan_out_indexed(n, threads, &make_state, &work);
+        let pooled = fan_out_collect((0..n).collect(), threads, &make_state, |_, i, s| work(i, s));
         assert_eq!(
             pooled, reference,
             "fan_out_check(seed {seed}): production pool at {threads} thread(s) \
@@ -586,38 +404,36 @@ where
 mod tests {
     use super::*;
 
+    fn indices(n: usize) -> Vec<usize> {
+        (0..n).collect()
+    }
+
     #[test]
     fn matches_sequential_map_in_order() {
         let seq: Vec<u64> = (0..97).map(|i| (i as u64).wrapping_mul(31)).collect();
         for threads in [0, 1, 2, 5, 64] {
-            let par = fan_out(97, threads, |i| (i as u64).wrapping_mul(31));
+            let par = fan_out_collect(indices(97), threads, || (), |_, i, ()| {
+                (i as u64).wrapping_mul(31)
+            });
             assert_eq!(par, seq, "threads={threads}");
         }
     }
 
     #[test]
     fn empty_and_single_are_fine() {
-        assert!(fan_out(0, 4, |i| i).is_empty());
-        assert_eq!(fan_out(1, 4, |i| i + 7), vec![7]);
+        assert!(fan_out_collect(Vec::<usize>::new(), 4, || (), |_, i, ()| i).is_empty());
+        assert_eq!(fan_out_collect(vec![0usize], 4, || (), |_, i, ()| i + 7), vec![7]);
     }
 
     #[test]
     fn per_worker_state_is_reused_within_a_worker() {
-        // Each worker's state counts the jobs it ran; the total over all
-        // returned (job, state-before) pairs must cover every job once.
-        let results = fan_out_indexed(
-            50,
-            4,
-            || 0usize,
-            |i, ran: &mut usize| {
-                *ran += 1;
-                i
-            },
-        );
-        let mut sorted = results.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_eq!(results, (0..50).collect::<Vec<_>>(), "input order kept");
+        // Each worker's state counts the jobs it ran; the results must
+        // still cover every job once, in input order.
+        let results = fan_out_collect(indices(50), 4, || 0usize, |_, i, ran: &mut usize| {
+            *ran += 1;
+            i
+        });
+        assert_eq!(results, indices(50), "input order kept");
     }
 
     #[test]
@@ -636,7 +452,7 @@ mod tests {
         // one worker and its result landed in its own slot.
         for threads in [0, 1, 2, 3, 7, 64] {
             let jobs: Vec<String> = (0..41).map(|i| format!("job-{i}")).collect();
-            let out = fan_out_indexed_owned(jobs, threads, || 0usize, |i, job, ran| {
+            let out = fan_out_collect(jobs, threads, || 0usize, |i, job, ran| {
                 *ran += 1;
                 (i, job)
             });
@@ -648,12 +464,13 @@ mod tests {
     }
 
     #[test]
-    fn owned_fan_out_empty_and_single() {
-        assert!(fan_out_indexed_owned(Vec::<u8>::new(), 4, || (), |i, j, ()| (i, j)).is_empty());
-        assert_eq!(
-            fan_out_indexed_owned(vec![9u8], 4, || (), |i, j, ()| (i, j)),
-            vec![(0, 9u8)]
-        );
+    fn jobs_may_borrow_mutably_from_the_caller() {
+        // The scoped pool lends each job a disjoint `&mut` — the shape
+        // of the training flush.
+        let mut cells = vec![0u64; 23];
+        let jobs: Vec<&mut u64> = cells.iter_mut().collect();
+        fan_out_collect(jobs, 4, || (), |i, cell, ()| *cell = i as u64 * 3);
+        assert_eq!(cells, (0..23).map(|i| i * 3).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -695,101 +512,82 @@ mod tests {
     }
 
     #[test]
-    fn background_matches_sequential_at_any_thread_count() {
-        let seq: Vec<u64> = (0..53).map(|i| (i as u64).wrapping_mul(97) ^ 5).collect();
-        for threads in [0, 1, 2, 4, 8] {
-            let jobs: Vec<u64> = (0..53).collect();
-            let mut stage = spawn_background(jobs, threads, || (), |_, j, ()| {
-                j.wrapping_mul(97) ^ 5
-            });
-            let joined: Vec<u64> = (0..53).map(|i| stage.take(i)).collect();
-            assert_eq!(joined, seq, "threads={threads}");
-            stage.finish();
-        }
-    }
-
-    #[test]
-    fn background_join_order_is_immaterial() {
+    fn lazy_join_order_is_immaterial() {
         // Adversarial replay over the handoff: join the slots in seeded
         // permuted orders, at several thread counts, and assert the
         // joined values always equal the sequential reference — the
-        // background analogue of fan_out_check's forced schedules.
+        // lazy-join analogue of fan_out_check's forced schedules.
         let n = 37;
         let reference: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         let root = Prng::new(1213);
         for p in 0..4u64 {
             let mut order: Vec<usize> = (0..n).collect();
             root.split(p).shuffle(&mut order);
-            for threads in [1, 2, 4, 8] {
+            for threads in [0, 1, 2, 4, 8] {
                 let jobs: Vec<u64> = (0..n as u64).collect();
-                let mut stage =
-                    spawn_background(jobs, threads, || (), |_, j, ()| {
-                        j.wrapping_mul(0x9E37_79B9)
-                    });
-                let mut joined = vec![0u64; n];
-                for &idx in &order {
-                    joined[idx] = stage.take(idx);
-                }
-                stage.finish();
+                let joined = fan_out(
+                    jobs,
+                    threads,
+                    || (),
+                    |_, j, ()| j.wrapping_mul(0x9E37_79B9),
+                    |joins| {
+                        let mut joined = vec![0u64; n];
+                        for &idx in &order {
+                            joined[idx] = joins.take(idx);
+                        }
+                        joined
+                    },
+                );
                 assert_eq!(joined, reference, "permutation {p}, threads={threads}");
             }
         }
     }
 
     #[test]
-    fn background_drain_collects_the_rest_in_index_order() {
-        let mut stage = spawn_background((0..9u64).collect(), 3, || (), |_, j, ()| j * 3);
-        assert_eq!(stage.len(), 9);
-        assert_eq!(stage.take(4), 12);
-        let rest = stage.drain();
+    fn drain_collects_the_rest_in_index_order() {
+        let rest = fan_out((0..9u64).collect(), 3, || (), |_, j, ()| j * 3, |joins| {
+            assert_eq!(joins.take(4), 12);
+            joins.drain()
+        });
         let idxs: Vec<usize> = rest.iter().map(|(i, _)| *i).collect();
         assert_eq!(idxs, vec![0, 1, 2, 3, 5, 6, 7, 8]);
         for (i, v) in &rest {
             assert_eq!(*v, *i as u64 * 3);
         }
-        stage.finish();
     }
 
     #[test]
-    fn background_empty_stage_retires_cleanly() {
-        let mut stage = spawn_background(Vec::<u8>::new(), 4, || (), |i, _, ()| i);
-        assert!(stage.is_empty());
-        assert!(stage.drain().is_empty());
-        stage.finish();
-    }
-
-    #[test]
-    fn background_worker_state_warms_once_per_worker() {
-        // Results only depend on the job, even though each worker's
-        // scratch accumulates across the jobs it was dealt.
-        let mut stage = spawn_background(
-            (0..24u64).collect(),
-            4,
-            || 0u64,
-            |_, j, ran: &mut u64| {
-                *ran += 1;
-                j + 100
-            },
-        );
-        let out: Vec<u64> = (0..24).map(|i| stage.take(i)).collect();
-        stage.finish();
-        assert_eq!(out, (100..124).collect::<Vec<u64>>());
+    fn empty_pool_runs_the_join_body() {
+        let drained = fan_out(Vec::<u8>::new(), 4, || (), |i, _, ()| i, |joins| joins.drain());
+        assert!(drained.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "joined twice")]
-    fn background_double_join_panics() {
-        let mut stage = spawn_background(vec![1u8, 2, 3], 2, || (), |_, j, ()| j);
-        let _ = stage.take(1);
-        let _ = stage.take(1);
+    fn double_join_panics() {
+        fan_out(vec![1u8, 2, 3], 2, || (), |_, j, ()| j, |joins| {
+            let _ = joins.take(1);
+            let _ = joins.take(1);
+        });
     }
 
     #[test]
     #[should_panic(expected = "never joined")]
-    fn background_abandoned_slot_fails_finish() {
-        let mut stage = spawn_background(vec![1u8, 2, 3], 2, || (), |_, j, ()| j);
-        let _ = stage.take(0);
-        stage.finish();
+    fn abandoned_slot_panics_at_return() {
+        fan_out(vec![1u8, 2, 3], 2, || (), |_, j, ()| j, |joins| {
+            let _ = joins.take(0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "abandoned")]
+    fn worker_panic_surfaces_at_take() {
+        fan_out(indices(8), 2, || (), |_, i, ()| {
+            assert!(i != 5, "job 5 fails");
+            i
+        }, |joins| {
+            let _ = joins.drain();
+        });
     }
 
     #[test]

@@ -140,14 +140,15 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-adhoc-threading",
         description: "std::thread::spawn/scope only inside simcore/src/parallel.rs: \
-                      all parallelism goes through the race-checked fan-out pool",
+                      all parallelism goes through the ledger-checked fan_out pool",
         explanation: "crates/simcore/src/parallel.rs is the single sanctioned home for \
-                      thread spawning: its fan-outs write results into index-addressed \
-                      OnceLock slots (parallel ≡ sequential bit-equality), carry the \
-                      race-check claim ledger, and are exercised by the schedule-replay \
-                      harness (fan_out_check). An ad-hoc thread::spawn elsewhere gets none \
-                      of that. Fix: express the work as fan_out / fan_out_indexed / \
-                      fan_out_indexed_owned over an index space or owned job list.",
+                      thread spawning: its one pool primitive, fan_out, moves owned jobs \
+                      to workers, writes results into index-addressed slots (parallel ≡ \
+                      sequential bit-equality), verifies an execute-once/join-once ledger \
+                      on every run, and is exercised by the schedule-replay harness \
+                      (fan_out_check). An ad-hoc thread::spawn elsewhere gets none of \
+                      that. Fix: express the work as an owned job list for fan_out (lazy \
+                      joins) or fan_out_collect (blocking).",
     },
     RuleInfo {
         id: "no-shared-sync-outside-pool",
@@ -159,7 +160,7 @@ pub const RULES: &[RuleInfo] = &[
                       elsewhere introduces claim-order-dependent state the proof cannot \
                       see (the Vec<Mutex<Matrix>> carry handoff this rule retired is the \
                       canonical example). Fix: restructure onto owned jobs / per-slot \
-                      writes (fan_out_indexed_owned), or keep state worker-local.",
+                      writes (fan_out), or keep state worker-local.",
     },
     RuleInfo {
         id: "hot-path-alloc",
@@ -222,7 +223,7 @@ const LIB_CRATES: &[&str] = &[
 ];
 
 /// The one module allowed to spawn threads and hold sync primitives:
-/// the race-checked fan-out pool.
+/// the ledger-checked fan-out pool.
 const SANCTIONED_POOL: &str = "crates/simcore/src/parallel.rs";
 
 /// Identifiers that read the host clock.
@@ -630,9 +631,8 @@ fn check_adhoc_threading(ctx: &mut Ctx<'_>) {
         ctx.report(
             i,
             rule,
-            "ad-hoc thread creation; all parallelism goes through the race-checked \
-             fan-outs in crates/simcore/src/parallel.rs (fan_out / fan_out_indexed / \
-             fan_out_indexed_owned)"
+            "ad-hoc thread creation; all parallelism goes through the ledger-checked \
+             pool in crates/simcore/src/parallel.rs (fan_out / fan_out_collect)"
                 .to_string(),
         );
     }
@@ -915,7 +915,7 @@ mod tests {
 
     #[test]
     fn prng_new_inside_fan_out_closure_flagged_even_in_tests() {
-        let src = "#[test]\nfn t() {\n  fan_out_indexed(4, 0, S::default, |i, s| {\n\
+        let src = "#[test]\nfn t() {\n  fan_out_collect(jobs, 0, S::default, |i, _job, s| {\n\
                    let mut r = Prng::new(i as u64);\n    r.next_u64()\n  });\n}\n";
         let d = lint("crates/core/src/drift_cache.rs", src);
         assert_eq!(
@@ -924,7 +924,7 @@ mod tests {
             "{d:?}"
         );
         // Split children with stable keys are the sanctioned pattern.
-        let clean = "pub fn f(root: &Prng) {\n  fan_out_indexed(4, 0, S::default, |i, s| {\n\
+        let clean = "pub fn f(root: &Prng) {\n  fan_out_collect(jobs, 0, S::default, |i, _job, s| {\n\
                      let mut r = root.split(0xD21F ^ i as u64);\n    r.next_u64()\n  });\n}\n";
         assert!(lint("crates/core/src/drift_cache.rs", clean).is_empty());
     }

@@ -45,7 +45,7 @@ pub struct Scope {
     /// `fn`/`mod` name; `None` for root, closures and attributed items.
     pub name: Option<String>,
     /// For closures: the name of the call this closure is an argument
-    /// of (`fan_out_indexed(…, |i, s| …)` → `"fan_out_indexed"`).
+    /// of (`fan_out(…, |i, job, s| …, |joins| …)` → `"fan_out"`).
     pub call: Option<String>,
     /// First token of the item (its attributes included).
     pub start_tok: usize,
@@ -537,13 +537,32 @@ mod tests {
 
     #[test]
     fn closures_know_their_call() {
-        let src = "fn f() { fan_out_indexed(n, t, || s(), |i, st| body(i)); \
+        let src = "fn f() { fan_out_collect(jobs, t, || s(), |i, job, st| body(i)); \
                    other(|x| elsewhere(x)); }\n";
         let lexed = lex(src);
         let tree = ScopeTree::build(&lexed);
         assert!(tree.in_fan_out_closure(ident_at(&lexed, "body", 0)));
         assert!(tree.in_fan_out_closure(ident_at(&lexed, "s", 0)));
         assert!(!tree.in_fan_out_closure(ident_at(&lexed, "elsewhere", 0)));
+    }
+
+    #[test]
+    fn every_closure_of_the_pool_primitive_counts() {
+        // The pool's work and state closures run on workers and its join
+        // body overlaps them, so all three are fan-out closures; a
+        // closure handed to the stage's result afterwards is not.
+        let src = "fn f() { let r = fan_out(jobs, t, || scratch(), \
+                   |i, job, st| work(i), |joins| { joins.take(0); join_body() }); \
+                   r.map(|x| after(x)); }\n";
+        let lexed = lex(src);
+        let tree = ScopeTree::build(&lexed);
+        for inside in ["scratch", "work", "join_body"] {
+            assert!(
+                tree.in_fan_out_closure(ident_at(&lexed, inside, 0)),
+                "{inside}"
+            );
+        }
+        assert!(!tree.in_fan_out_closure(ident_at(&lexed, "after", 0)));
     }
 
     #[test]

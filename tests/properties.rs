@@ -327,11 +327,14 @@ fn small_drifted_runtime(seed: u64, periods: usize) -> AppRuntime {
 /// The real drift-artifact build is schedule-invariant: for three seeds,
 /// [`fan_out_check`] replays the per-(app, node) build under forced
 /// claim-order permutations at 1/2/4/8 workers and asserts bit-equality
-/// with the sequential loop, and [`DriftCache::prebuild`] at every one
-/// of those thread counts must land on the same artifact bits.
+/// with the sequential loop, and the production stage —
+/// [`DriftCache::snapshot_stale`] built on the pool and installed in job
+/// order — must land on the same artifact bits at every one of those
+/// thread counts.
 #[test]
 fn drift_prebuild_survives_adversarial_schedules() {
-    use adainf::simcore::parallel::fan_out_check;
+    use adainf::core::drift_cache::DriftSnapshot;
+    use adainf::simcore::parallel::{fan_out, fan_out_check};
 
     for seed in [11u64, 97, 2024] {
         let apps = [
@@ -359,16 +362,27 @@ fn drift_prebuild_survives_adversarial_schedules() {
             },
         );
 
-        // Layer 3: the production prebuild entry point at each worker
-        // count reproduces the same rankings, basis and carried
-        // features bit-for-bit (prefix-sums are lazily extended, so
-        // only the eagerly-built fields are compared).
+        // Layer 3: the production snapshot stage at each worker count
+        // reproduces the same rankings, basis and carried features
+        // bit-for-bit (prefix-sums are lazily extended, so only the
+        // eagerly-built fields are compared).
         for threads in [1usize, 2, 4, 8] {
-            let mut cache = DriftCache::new(true);
-            cache.prebuild(&jobs, &apps, 8, &root, threads);
+            let mut cache = DriftCache::new();
+            let snaps = cache.snapshot_stale(&jobs, &apps, &root);
+            assert_eq!(snaps.len(), jobs.len(), "every slot stale in a fresh cache");
+            let built = fan_out(
+                snaps,
+                threads,
+                DetectScratch::default,
+                |_, snap: DriftSnapshot, scratch: &mut DetectScratch| snap.build(8, scratch),
+                |stage| stage.drain(),
+            );
+            for (_, b) in built {
+                cache.insert_built(b);
+            }
             for (j, &(app, node)) in jobs.iter().enumerate() {
                 let art = cache.get(app, node).unwrap_or_else(|| {
-                    panic!("prebuild({threads}) missing ({app}, {node})")
+                    panic!("stage({threads}) missing ({app}, {node})")
                 });
                 let want = &reference[j];
                 assert_eq!(art.deviation, want.deviation, "deviation @{threads}t");
@@ -428,7 +442,7 @@ proptest! {
     ) {
         let rt = small_drifted_runtime(seed, periods);
         let root = Prng::new(seed ^ 0xCAC4E);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::new();
         let node = 1;
         let first = cache.artifacts(0, &rt, node, 8, &root).clone();
         let hit = cache.artifacts(0, &rt, node, 8, &root).clone();
@@ -465,7 +479,7 @@ proptest! {
     ) {
         let mut rt = small_drifted_runtime(seed, 1);
         let root = Prng::new(seed ^ 0x17A1E);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::new();
         let node = 1;
         cache.artifacts(0, &rt, node, 8, &root);
         cache.artifacts(0, &rt, node, 8, &root);
@@ -576,24 +590,21 @@ fn predictor_off_is_inert_across_methods_and_seeds() {
     }
 }
 
-/// The overlapped period pipeline is a pure performance switch: with
-/// the same seed, a run that prebuilds drift artifacts on background
-/// workers and fans retraining slices out across a pool is bit-identical
-/// to the fully inline run, at every pool width. Verified at three
-/// seeds × pool widths {1, 2, 4, 8} (driving both the drift prebuild
-/// stage and the boundary training fan-out) against the inline
-/// (`drift_overlap: false`, sequential training) baseline: request
-/// totals, shed counts, the full fine-grained accuracy series, and the
-/// summary aggregates all match to the bit.
+/// Pool width is invisible in the results: with the same seed, the
+/// period pipeline — drift builds on the background stage, retraining
+/// slices on the training pool — gives bit-identical runs at every
+/// width. Verified at the golden seeds × widths {1, 2, 4, 8} (driving
+/// both `drift_workers` and `train_workers`): every width reproduces
+/// the pinned AdaInf golden row of `tests/golden.rs`, and the 1-worker
+/// run's shed counts and full fine-grained accuracy series.
 #[test]
 fn overlapped_pipeline_bit_identical_to_inline() {
     use adainf::core::AdaInfConfig;
     use adainf::harness::sim::{run, Method, RunConfig};
     use adainf::simcore::SimDuration;
-    let make = |seed: u64, overlap: bool, workers: usize| {
+    let make = |seed: u64, workers: usize| {
         run(RunConfig {
             method: Method::AdaInf(AdaInfConfig {
-                drift_overlap: overlap,
                 drift_workers: workers,
                 ..AdaInfConfig::default()
             }),
@@ -604,53 +615,55 @@ fn overlapped_pipeline_bit_identical_to_inline() {
             ..RunConfig::default()
         })
     };
-    for seed in [11u64, 23, 47] {
-        let inline = make(seed, false, 1);
-        assert!(
-            inline.period_overhead.count() >= 2,
-            "seed {seed}: no period boundaries crossed — the pipeline never ran"
-        );
-        let base = inline.summary();
-        let base_fine = inline.accuracy_fine.ratios();
+    // `(seed, total_requests, mean_accuracy, mean_finish_rate)`: the
+    // AdaInf golden rows.
+    let goldens = [
+        (11u64, 1725130u64, 0.9030360621563216f64, 0.9992656108706952f64),
+        (23, 1518908, 0.9093875812740043, 0.9998909458453026),
+        (47, 1392262, 0.9090062030500701, 0.9991235715669184),
+    ];
+    for (seed, requests, accuracy, finish) in goldens {
+        // `(shed_requests, fine accuracy bits)` of the 1-worker run.
+        let mut reference: Option<(u64, Vec<Option<u64>>)> = None;
         for workers in [1usize, 2, 4, 8] {
-            let m = make(seed, true, workers);
+            let m = make(seed, workers);
+            assert!(
+                m.period_overhead.count() >= 2,
+                "seed {seed}: no period boundaries crossed — the pipeline never ran"
+            );
             let s = m.summary();
             assert_eq!(
-                m.total_requests, inline.total_requests,
+                m.total_requests, requests,
                 "seed {seed} workers {workers}: total_requests"
             );
             assert_eq!(
-                m.shed_requests, inline.shed_requests,
-                "seed {seed} workers {workers}: shed_requests"
-            );
-            assert_eq!(
                 s.mean_accuracy.to_bits(),
-                base.mean_accuracy.to_bits(),
-                "seed {seed} workers {workers}: mean_accuracy"
+                accuracy.to_bits(),
+                "seed {seed} workers {workers}: mean_accuracy {} != golden {accuracy}",
+                s.mean_accuracy
             );
             assert_eq!(
                 s.mean_finish_rate.to_bits(),
-                base.mean_finish_rate.to_bits(),
-                "seed {seed} workers {workers}: mean_finish_rate"
+                finish.to_bits(),
+                "seed {seed} workers {workers}: mean_finish_rate {} != golden {finish}",
+                s.mean_finish_rate
             );
+            let fine: Vec<Option<u64>> = m
+                .accuracy_fine
+                .ratios()
+                .iter()
+                .map(|r| r.map(f64::to_bits))
+                .collect();
+            let (shed, base_fine) =
+                reference.get_or_insert_with(|| (m.shed_requests, fine.clone()));
             assert_eq!(
-                s.mean_inference_latency_ms.to_bits(),
-                base.mean_inference_latency_ms.to_bits(),
-                "seed {seed} workers {workers}: mean_inference_latency_ms"
+                m.shed_requests, *shed,
+                "seed {seed} workers {workers}: shed_requests"
             );
-            let fine = m.accuracy_fine.ratios();
-            assert_eq!(
-                fine.len(),
-                base_fine.len(),
-                "seed {seed} workers {workers}: accuracy window count"
+            assert!(
+                fine == *base_fine,
+                "seed {seed} workers {workers}: fine-grained accuracy series diverged from 1 worker"
             );
-            for (w, (a, b)) in fine.iter().zip(&base_fine).enumerate() {
-                assert_eq!(
-                    a.map(f64::to_bits),
-                    b.map(f64::to_bits),
-                    "seed {seed} workers {workers}: accuracy window {w}"
-                );
-            }
         }
     }
 }
