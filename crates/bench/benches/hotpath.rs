@@ -2,7 +2,9 @@
 //!
 //! * `gemm/*` — the `Matrix` multiply kernels driving every SGD
 //!   retraining step, in both the allocating and the `_into`
-//!   (caller-owned output) forms, at the MLP's steady-state shapes.
+//!   (caller-owned output) forms: at a wide 32×256×64 layer, and at
+//!   the 32×32×24 shape every head SGD step runs (batch 32 through the
+//!   trunk's 32 → 24 layer).
 //! * `decision_path/*` — the AdaInf §3.3.2 batch/structure search with
 //!   the decision cache on vs off.
 //! * `end_to_end/tiny_run` — one complete 20 s, 2-application
@@ -46,6 +48,21 @@ fn bench_gemm(c: &mut Criterion) {
     });
     group.bench_function("matmul_t_into_32x256x64", |bch| {
         bch.iter(|| black_box(&a).matmul_t_into(black_box(&wt), &mut out))
+    });
+
+    // The forward, weight-gradient and input-gradient GEMMs of one SGD
+    // step through the 32 → 24 trunk layer.
+    let input = random_matrix(32, 32, &mut rng);
+    let weights = random_matrix(32, 24, &mut rng);
+    let grad_out = random_matrix(32, 24, &mut rng);
+    group.bench_function("matmul_into_32x32x24", |bch| {
+        bch.iter(|| black_box(&input).matmul_into(black_box(&weights), &mut out))
+    });
+    group.bench_function("t_matmul_into_32x32x24", |bch| {
+        bch.iter(|| black_box(&input).t_matmul_into(black_box(&grad_out), &mut out))
+    });
+    group.bench_function("matmul_t_into_32x32x24", |bch| {
+        bch.iter(|| black_box(&grad_out).matmul_t_into(black_box(&weights), &mut out))
     });
     group.finish();
 }

@@ -175,7 +175,7 @@ impl Dense {
             &cache.pre,
             &mut grad_out,
             update,
-            &mut grad_in,
+            Some(&mut grad_in),
             &mut scratch,
         );
         grad_in
@@ -188,13 +188,19 @@ impl Dense {
     /// and `scratch` holds the reusable parameter-gradient buffers.
     /// Arithmetic and update order match [`Self::backward_with`]
     /// exactly, so results are bit-identical.
+    ///
+    /// Pass `grad_in: None` when no upstream layer reads the input
+    /// gradient (the first layer of a network, whose input is the raw
+    /// data): its `grad_out × Wᵀ` GEMM is then skipped. The input
+    /// gradient never feeds this layer's own update, so the weights,
+    /// bias and optimizer state come out bit-identical either way.
     pub fn backward_scratch(
         &mut self,
         input: &Matrix,
         pre: &Matrix,
         grad_out: &mut Matrix,
         update: Update,
-        grad_in: &mut Matrix,
+        grad_in: Option<&mut Matrix>,
         scratch: &mut GradScratch,
     ) {
         if self.relu {
@@ -203,7 +209,9 @@ impl Dense {
         let batch = input.rows().max(1) as f32;
         // Gradient w.r.t. input, for the upstream layer (reads the
         // pre-update weights, so it must precede the optimizer step).
-        grad_out.matmul_t_into(&self.weights, grad_in);
+        if let Some(grad_in) = grad_in {
+            grad_out.matmul_t_into(&self.weights, grad_in);
+        }
         // Raw weight-gradient sums; the batch-mean scaling and
         // robustness clamp are fused into the optimizer kernels below,
         // saving two full passes over the gradient buffer per step.
@@ -392,6 +400,62 @@ mod tests {
         // Weights near the true [1, 1, 1].
         for c in 0..3 {
             assert!((layer.weights.get(c, 0) - 1.0).abs() < 0.15);
+        }
+    }
+
+    /// Skipping the input gradient must not touch the update: weights,
+    /// bias, first and second moments and the step counter all match
+    /// the `Some(..)` call bit for bit, under both update rules.
+    #[test]
+    fn skipped_input_gradient_leaves_the_update_bit_identical() {
+        fn bits(m: &[f32]) -> Vec<u32> {
+            m.iter().map(|x| x.to_bits()).collect()
+        }
+        let mut rng = Prng::new(9);
+        let x = Matrix::from_slice(
+            5,
+            4,
+            &(0..20).map(|_| rng.gauss() as f32).collect::<Vec<_>>(),
+        );
+        for update in [
+            Update::SgdMomentum {
+                lr: 0.05,
+                momentum: 0.9,
+            },
+            Update::adam(0.01),
+        ] {
+            let mut with = Dense::new(4, 3, true, &mut rng);
+            let mut without = with.clone();
+            let mut grad_in = Matrix::default();
+            let mut scratch = GradScratch::default();
+            for step in 0..3 {
+                let mut pre = Matrix::default();
+                let mut out = Matrix::default();
+                with.forward_into(&x, &mut pre, &mut out);
+                let g: Vec<f32> = (0..15).map(|i| ((i * 5 + step) % 7) as f32 - 3.0).collect();
+                let mut g_with = Matrix::from_slice(5, 3, &g);
+                let mut g_without = g_with.clone();
+                with.backward_scratch(
+                    &x,
+                    &pre,
+                    &mut g_with,
+                    update,
+                    Some(&mut grad_in),
+                    &mut scratch,
+                );
+                without.backward_scratch(&x, &pre, &mut g_without, update, None, &mut scratch);
+            }
+            assert_eq!(grad_in.rows(), 5, "the Some(..) call filled grad_in");
+            assert_eq!(bits(with.weights.data()), bits(without.weights.data()));
+            assert_eq!(bits(&with.bias), bits(&without.bias));
+            assert_eq!(bits(with.vel_w.data()), bits(without.vel_w.data()));
+            assert_eq!(bits(&with.vel_b), bits(&without.vel_b));
+            assert_eq!(
+                with.adam_v_w.as_ref().map(|m| bits(m.data())),
+                without.adam_v_w.as_ref().map(|m| bits(m.data()))
+            );
+            assert_eq!(bits(&with.adam_v_b), bits(&without.adam_v_b));
+            assert_eq!(with.steps, without.steps);
         }
     }
 

@@ -1,11 +1,17 @@
 //! A minimal row-major `f32` matrix.
 //!
-//! Only the operations backpropagation needs are implemented, with plain
-//! triple loops — at the scales used here (feature dims ≤ 64, batch ≤ 64)
-//! this is far from being a bottleneck, and the code stays auditable.
+//! Only the operations backpropagation needs are implemented. The GEMM
+//! kernels are blocked so they vectorise, but every output element keeps
+//! the plain triple loop's ascending-k accumulation, so their results
+//! are bit-identical to it.
 
 use adainf_simcore::Prng;
 use std::fmt;
+
+/// Columns per packed panel of the ×ᵀ kernel
+/// ([`Matrix::panel_matmul_t_into`]): the stack tile holds
+/// `PANEL_K × 8` floats (2 KiB).
+const PANEL_K: usize = 64;
 
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
@@ -420,79 +426,18 @@ impl Matrix {
         out
     }
 
-    /// `self × otherᵀ`, written into `out` (reshaped in place). Each
-    /// output element is a single dot product of two contiguous rows,
-    /// evaluated in the same order as [`Self::matmul_t`].
-    ///
-    /// Output columns are processed four at a time: the four dot
-    /// products keep independent accumulators, so the additions of
-    /// *each* output element still happen in plain k order (bit-exact
-    /// against the one-at-a-time loop) while the FP add latency chain
-    /// is overlapped fourfold.
+    /// `self × otherᵀ`, written into `out` (reshaped in place) — the
+    /// backward input-gradient GEMM `grad_out × Wᵀ`. Each output element
+    /// is the dot product of two rows, accumulated from `+0.0` in
+    /// ascending k exactly as in [`Self::matmul_t`]. A packed-panel
+    /// loop, shared with [`Self::centered_matmul_t_into`], runs eight of
+    /// them per vector lane group, so results are bit-identical to the
+    /// one-at-a-time dot product.
     ///
     /// # Panics
     /// Panics on column-count mismatch.
     pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        out.reset_zeroed(self.rows, other.rows);
-        let n = other.rows;
-        let w = other.cols;
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let out_row = out.row_mut(i);
-            let mut j = 0;
-            while j + 8 <= n {
-                let b = &other.data[j * w..(j + 8) * w];
-                let (b0, rest) = b.split_at(w);
-                let (b1, rest) = rest.split_at(w);
-                let (b2, rest) = rest.split_at(w);
-                let (b3, rest) = rest.split_at(w);
-                let (b4, rest) = rest.split_at(w);
-                let (b5, rest) = rest.split_at(w);
-                let (b6, b7) = rest.split_at(w);
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                let (mut s4, mut s5, mut s6, mut s7) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for ((((((((&a, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in arow
-                    .iter()
-                    .zip(b0)
-                    .zip(b1)
-                    .zip(b2)
-                    .zip(b3)
-                    .zip(b4)
-                    .zip(b5)
-                    .zip(b6)
-                    .zip(b7)
-                {
-                    s0 += a * v0;
-                    s1 += a * v1;
-                    s2 += a * v2;
-                    s3 += a * v3;
-                    s4 += a * v4;
-                    s5 += a * v5;
-                    s6 += a * v6;
-                    s7 += a * v7;
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                out_row[j + 4] = s4;
-                out_row[j + 5] = s5;
-                out_row[j + 6] = s6;
-                out_row[j + 7] = s7;
-                j += 8;
-            }
-            for (o, brow) in out_row[j..]
-                .iter_mut()
-                .zip(other.data[j * w..].chunks_exact(w))
-            {
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
+        self.panel_matmul_t_into(None, other, out);
     }
 
     /// `(self − mean) × otherᵀ`, written into `out` — the PCA projection
@@ -507,104 +452,94 @@ impl Matrix {
     /// # Panics
     /// Panics on column-count or mean-width mismatch.
     pub fn centered_matmul_t_into(&self, mean: &[f32], other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         assert_eq!(mean.len(), self.cols, "mean width mismatch");
-        if other.rows == 8 {
-            return self.centered_matmul_t8_into(mean, other, out);
-        }
+        self.panel_matmul_t_into(Some(mean), other, out);
+    }
+
+    /// The one ×ᵀ kernel behind [`Self::matmul_t_into`] and
+    /// [`Self::centered_matmul_t_into`]: `(self − mean?) × otherᵀ`.
+    ///
+    /// For each strip of eight `other` rows, a block of up to
+    /// [`PANEL_K`] columns is packed k-major into a stack tile, so the
+    /// eight dot products of one `self` row become one `[f32; 8]`
+    /// accumulator fed a broadcast `x · tile[k]` per k — a single vector
+    /// multiply and add instead of eight scalar chains over strided
+    /// rows. The accumulator is loaded from and stored back to `out`
+    /// around each block, so any row width works, and every output
+    /// element still starts at `+0.0` and receives its products in
+    /// ascending k: bit-exact against the scalar dot product, which
+    /// handles the `n % 8` tail rows.
+    fn panel_matmul_t_into(&self, mean: Option<&[f32]>, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         out.reset_zeroed(self.rows, other.rows);
-        let n = other.rows;
-        let w = other.cols;
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let out_row = out.row_mut(i);
-            let mut j = 0;
-            while j + 8 <= n {
-                let b = &other.data[j * w..(j + 8) * w];
-                let (b0, rest) = b.split_at(w);
-                let (b1, rest) = rest.split_at(w);
-                let (b2, rest) = rest.split_at(w);
-                let (b3, rest) = rest.split_at(w);
-                let (b4, rest) = rest.split_at(w);
-                let (b5, rest) = rest.split_at(w);
-                let (b6, b7) = rest.split_at(w);
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                let (mut s4, mut s5, mut s6, mut s7) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (((((((((&a, &m), &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in arow
-                    .iter()
-                    .zip(mean)
-                    .zip(b0)
-                    .zip(b1)
-                    .zip(b2)
-                    .zip(b3)
-                    .zip(b4)
-                    .zip(b5)
-                    .zip(b6)
-                    .zip(b7)
-                {
-                    let x = a - m;
-                    s0 += x * v0;
-                    s1 += x * v1;
-                    s2 += x * v2;
-                    s3 += x * v3;
-                    s4 += x * v4;
-                    s5 += x * v5;
-                    s6 += x * v6;
-                    s7 += x * v7;
+        let (n, d) = (other.rows, self.cols);
+        let mut tile = [[0.0f32; 8]; PANEL_K];
+        let mut j = 0;
+        while j + 8 <= n {
+            let strip = &other.data[j * d..(j + 8) * d];
+            let mut k0 = 0;
+            while k0 < d {
+                let kb = (d - k0).min(PANEL_K);
+                let tile = &mut tile[..kb];
+                for (lane, row) in strip.chunks_exact(d).enumerate() {
+                    for (t, &v) in tile.iter_mut().zip(&row[k0..k0 + kb]) {
+                        t[lane] = v;
+                    }
                 }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                out_row[j + 4] = s4;
-                out_row[j + 5] = s5;
-                out_row[j + 6] = s6;
-                out_row[j + 7] = s7;
-                j += 8;
+                for (arow, orow) in self.data.chunks_exact(d).zip(out.data.chunks_exact_mut(n)) {
+                    let arow = &arow[k0..k0 + kb];
+                    let o = &mut orow[j..j + 8];
+                    let mut acc = [0.0f32; 8];
+                    acc.copy_from_slice(o);
+                    match mean {
+                        None => {
+                            for (&x, t) in arow.iter().zip(tile.iter()) {
+                                for (s, &c) in acc.iter_mut().zip(t) {
+                                    *s += x * c;
+                                }
+                            }
+                        }
+                        Some(mean) => {
+                            for ((&a, &m), t) in
+                                arow.iter().zip(&mean[k0..k0 + kb]).zip(tile.iter())
+                            {
+                                let x = a - m;
+                                for (s, &c) in acc.iter_mut().zip(t) {
+                                    *s += x * c;
+                                }
+                            }
+                        }
+                    }
+                    o.copy_from_slice(&acc);
+                }
+                k0 += kb;
             }
-            for (o, brow) in out_row[j..]
+            j += 8;
+        }
+        // No tail rows; this also keeps `chunks_exact_mut` off `n == 0`.
+        if j == n {
+            return;
+        }
+        for (arow, orow) in self.data.chunks_exact(d).zip(out.data.chunks_exact_mut(n)) {
+            for (o, brow) in orow[j..]
                 .iter_mut()
-                .zip(other.data[j * w..].chunks_exact(w))
+                .zip(other.data[j * d..].chunks_exact(d))
             {
                 let mut acc = 0.0;
-                for ((a, m), b) in arow.iter().zip(mean).zip(brow) {
-                    acc += (a - m) * b;
+                match mean {
+                    None => {
+                        for (&a, &b) in arow.iter().zip(brow) {
+                            acc += a * b;
+                        }
+                    }
+                    Some(mean) => {
+                        for ((&a, &m), &b) in arow.iter().zip(mean).zip(brow) {
+                            acc += (a - m) * b;
+                        }
+                    }
                 }
                 *o = acc;
             }
-        }
-    }
-
-    /// [`Self::centered_matmul_t_into`] specialised to exactly eight
-    /// `other` rows — the default-width PCA projection. The component
-    /// rows are first transposed into a k-major `d × 8` layout so the
-    /// eight per-element accumulators sit in one contiguous lane group;
-    /// the fixed-width `[f32; 8]` accumulator then vectorises to a
-    /// single 256-bit multiply-add per `k` step instead of eight scalar
-    /// chains fed by strided row loads (measured ~3× on the 6000×32
-    /// drift-projection shape). Each output element still owns one
-    /// accumulator fed in ascending `k` order, so results are
-    /// bit-identical to the general path.
-    fn centered_matmul_t8_into(&self, mean: &[f32], other: &Matrix, out: &mut Matrix) {
-        let d = self.cols;
-        let mut ct = vec![0.0f32; d * 8];
-        for j in 0..8 {
-            let row = other.row(j);
-            for k in 0..d {
-                ct[k * 8 + j] = row[k];
-            }
-        }
-        out.reset_zeroed(self.rows, 8);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let mut acc = [0.0f32; 8];
-            for ((&a, &m), ctk) in arow.iter().zip(mean).zip(ct.chunks_exact(8)) {
-                let x = a - m;
-                for (s, &c) in acc.iter_mut().zip(ctk) {
-                    *s += x * c;
-                }
-            }
-            out.row_mut(i).copy_from_slice(&acc);
         }
     }
 

@@ -401,35 +401,37 @@ impl EarlyExitMlp {
                 &scratch.probs,
                 &mut scratch.grad,
                 update,
-                &mut scratch.head_grads[e],
+                Some(&mut scratch.head_grads[e]),
                 &mut scratch.layer,
             );
         }
 
         // Backward through the trunk, adding each head's contribution at
-        // its level.
+        // its level. Trunk layer 0's input is the raw batch, whose
+        // gradient nothing reads, so its input-gradient GEMM is skipped.
         std::mem::swap(&mut scratch.grad, &mut scratch.head_grads[n_exits - 1]);
-        for e in (0..n_exits).rev() {
-            let input = if e == 0 {
-                inputs
-            } else {
-                &scratch.activations[e - 1]
-            };
+        for e in (1..n_exits).rev() {
             self.trunk[e].backward_scratch(
-                input,
+                &scratch.activations[e - 1],
                 &scratch.trunk_pre[e],
                 &mut scratch.grad,
                 update,
-                &mut scratch.grad_in,
+                Some(&mut scratch.grad_in),
                 &mut scratch.layer,
             );
             std::mem::swap(&mut scratch.grad, &mut scratch.grad_in);
-            if e > 0 {
-                // `grad` currently targets activation e-1; add the exit
-                // gradient injected there.
-                scratch.grad.axpy(1.0, &scratch.head_grads[e - 1]);
-            }
+            // `grad` now targets activation e-1; add the exit gradient
+            // injected there.
+            scratch.grad.axpy(1.0, &scratch.head_grads[e - 1]);
         }
+        self.trunk[0].backward_scratch(
+            inputs,
+            &scratch.trunk_pre[0],
+            &mut scratch.grad,
+            update,
+            None,
+            &mut scratch.layer,
+        );
         total_loss / labels.len() as f64
     }
 

@@ -6,8 +6,9 @@
 //! ascending-k order — exactly what the reference below computes. Any
 //! reassociation (e.g. multi-lane partial sums of one dot product)
 //! would change low-order bits and fail these tests. Shapes are drawn
-//! past the unroll widths (8-wide k / j, 4-wide r) so the blocked
-//! bodies, the tails, and the degenerate 1×1 cases are all exercised.
+//! past the unroll widths (8-wide k / j, 4-wide r) and, for the ×ᵀ
+//! kernels, past two 64-column packed panels, so the blocked bodies,
+//! the tails, and the degenerate 1×1 cases are all exercised.
 
 use adainf_nn::Matrix;
 use adainf_simcore::Prng;
@@ -31,6 +32,16 @@ fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+fn transpose(a: &Matrix) -> Matrix {
+    let mut t = Matrix::zeros(a.cols(), a.rows());
+    for i in 0..a.rows() {
+        for j in 0..a.cols() {
+            t.set(j, i, a.get(i, j));
+        }
+    }
+    t
 }
 
 fn assert_bit_identical(label: &str, got: &Matrix, want: &Matrix) -> Result<(), proptest::test_runner::TestCaseError> {
@@ -79,13 +90,7 @@ proptest! {
         // over materialised aᵀ.
         let a = random_matrix(m, k, &mut rng);
         let b = random_matrix(m, n, &mut rng);
-        let mut at = Matrix::zeros(k, m);
-        for i in 0..m {
-            for j in 0..k {
-                at.set(j, i, a.get(i, j));
-            }
-        }
-        let want = reference_matmul(&at, &b);
+        let want = reference_matmul(&transpose(&a), &b);
         let mut out = Matrix::zeros(0, 0);
         a.t_matmul_into(&b, &mut out);
         assert_bit_identical("t_matmul_into", &out, &want)?;
@@ -93,23 +98,43 @@ proptest! {
 
     fn matmul_t_into_matches_reference(
         m in 1usize..24,
-        k in 1usize..24,
-        n in 1usize..24,
+        k in 1usize..150,
+        n in 1usize..40,
         seed in 0u64..1 << 32,
     ) {
         let mut rng = Prng::new(seed);
-        // self (m×k) × otherᵀ (k×n over n×k storage).
+        // self (m×k) × otherᵀ (k×n over n×k storage). k reaches past
+        // two 64-column panels and n spans several 8-row strips plus
+        // tails.
         let a = random_matrix(m, k, &mut rng);
         let b = random_matrix(n, k, &mut rng);
-        let mut bt = Matrix::zeros(k, n);
-        for i in 0..n {
-            for j in 0..k {
-                bt.set(j, i, b.get(i, j));
-            }
-        }
-        let want = reference_matmul(&a, &bt);
+        let want = reference_matmul(&a, &transpose(&b));
         let mut out = Matrix::zeros(0, 0);
         a.matmul_t_into(&b, &mut out);
         assert_bit_identical("matmul_t_into", &out, &want)?;
+    }
+
+    fn centered_matmul_t_into_matches_reference(
+        m in 1usize..24,
+        k in 1usize..150,
+        n in 1usize..40,
+        eight in proptest::bool::ANY,
+        seed in 0u64..1 << 32,
+    ) {
+        // Half the cases project onto exactly eight rows, the PCA
+        // default width.
+        let n = if eight { 8 } else { n };
+        let mut rng = Prng::new(seed);
+        let a = random_matrix(m, k, &mut rng);
+        let b = random_matrix(n, k, &mut rng);
+        let mean: Vec<f32> = (0..k).map(|_| rng.gauss() as f32).collect();
+        let mut centred = a.clone();
+        for (x, &mu) in centred.data_mut().iter_mut().zip(mean.iter().cycle()) {
+            *x -= mu;
+        }
+        let want = reference_matmul(&centred, &transpose(&b));
+        let mut out = Matrix::zeros(0, 0);
+        a.centered_matmul_t_into(&mean, &b, &mut out);
+        assert_bit_identical("centered_matmul_t_into", &out, &want)?;
     }
 }
