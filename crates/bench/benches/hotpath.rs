@@ -5,8 +5,6 @@
 //!   (caller-owned output) forms: at a wide 32×256×64 layer, and at
 //!   the 32×32×24 shape every head SGD step runs (batch 32 through the
 //!   trunk's 32 → 24 layer).
-//! * `decision_path/*` — the AdaInf §3.3.2 batch/structure search with
-//!   the decision cache on vs off.
 //! * `end_to_end/tiny_run` — one complete 20 s, 2-application
 //!   simulation through the public `run` entry point, so a regression
 //!   anywhere in the stack shows up even if every micro-bench holds.
@@ -16,7 +14,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use adainf_bench::decision_bench;
 use adainf_harness::sim::{run, RunConfig};
 use adainf_nn::Matrix;
 use adainf_simcore::{Prng, SimDuration};
@@ -67,10 +64,6 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decision_path(c: &mut Criterion) {
-    decision_bench::bench_decision_cache(c);
-}
-
 fn bench_tiny_run(c: &mut Criterion) {
     let config = RunConfig {
         duration: SimDuration::from_secs(20),
@@ -86,5 +79,5 @@ fn bench_tiny_run(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_decision_path, bench_tiny_run);
+criterion_group!(benches, bench_gemm, bench_tiny_run);
 criterion_main!(benches);

@@ -8,10 +8,12 @@
 //! snapped onto the centi-GPU grid ([`crate::space`]), so gpu fractions
 //! are drawn from a small recurrent set and after a short transient the
 //! same `(gpu fraction, predicted requests)` pairs are presented over
-//! and over. The cache memoises the search results keyed
-//! on the **exact bit pattern** of the inputs — a hit replays the
-//! identical decision, so cached and uncached runs are bit-for-bit
-//! indistinguishable (enforced by the golden determinism tests).
+//! and over. The cache memoises the search results keyed on the **exact
+//! bit pattern** of the inputs, so a hit replays the identical decision.
+//! The cache is always on; the scheduler has no uncached decision path.
+//! Under the `strict-invariants` feature every hit reruns the search and
+//! asserts that the stored value is bit-equal to the fresh one, so the
+//! strict golden and chaos runs check every replay.
 //!
 //! Invalidation: per-app demand curves and joint batch/space choices
 //! depend only on the immutable [`AppSpec`](adainf_apps::AppSpec)s, so
@@ -21,6 +23,7 @@
 //! (and thus on every drift-impact change).
 
 use crate::timealloc::TimePlan;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Key for the gpu-fraction-dependent caches: `(app, requests,
@@ -39,9 +42,42 @@ type FracKey = (usize, u32, u64);
 /// lowest-sorted live keys, so those keys miss on every lookup forever.
 const TABLE_CAP: usize = 65_536;
 
-/// Memoisation tables for the per-session scheduling searches.
+/// A memoised value the `strict-invariants` replay check can compare
+/// with a fresh computation, bit for bit.
+trait Replay {
+    fn same_bits(&self, fresh: &Self) -> bool;
+}
+
+impl Replay for f64 {
+    fn same_bits(&self, fresh: &Self) -> bool {
+        self.to_bits() == fresh.to_bits()
+    }
+}
+
+impl Replay for u32 {
+    fn same_bits(&self, fresh: &Self) -> bool {
+        self == fresh
+    }
+}
+
+impl Replay for (f64, u32) {
+    fn same_bits(&self, fresh: &Self) -> bool {
+        self.0.same_bits(&fresh.0) && self.1 == fresh.1
+    }
+}
+
+/// Every field of a plan is an integer, a `SimDuration` or a `Vec` of
+/// those, so field equality is bit equality.
+impl Replay for TimePlan {
+    fn same_bits(&self, fresh: &Self) -> bool {
+        self == fresh
+    }
+}
+
+/// The memo tables, apart from the counters so one lookup can borrow a
+/// table and bump a counter at once.
 #[derive(Clone, Debug, Default)]
-pub struct DecisionCache {
+struct Tables {
     /// `(app, requests)` → SLO-demand fraction (§3.3.1 inversion).
     /// Valid for the scheduler's lifetime.
     demand: BTreeMap<(usize, u32), f64>,
@@ -54,6 +90,12 @@ pub struct DecisionCache {
     /// `(app, requests, gpu)` → pool-independent §3.3.2 time plan.
     /// Cleared every period.
     plan: BTreeMap<FracKey, TimePlan>,
+}
+
+/// Memoisation tables for the per-session scheduling searches.
+#[derive(Clone, Debug, Default)]
+pub struct DecisionCache {
+    tables: Tables,
     /// Lookups answered from a table.
     pub hits: u64,
     /// Lookups that ran the underlying search.
@@ -66,7 +108,7 @@ pub struct DecisionCache {
 impl DecisionCache {
     /// Drops every table whose inputs change at a period boundary.
     pub fn start_period(&mut self) {
-        self.plan.clear();
+        self.tables.plan.clear();
     }
 
     /// Fraction of lookups answered from a table.
@@ -78,24 +120,42 @@ impl DecisionCache {
         self.hits as f64 / total as f64
     }
 
-    /// Memoised SLO-demand fraction for `(app, requests)`.
-    pub fn demand(&mut self, app: usize, requests: u32, compute: impl FnOnce() -> f64) -> f64 {
-        if self.demand.len() >= TABLE_CAP
-            && !self.demand.contains_key(&(app, requests))
-            && self.demand.pop_first().is_some()
-        {
+    /// The one memo primitive behind every table: keeps the table within
+    /// `TABLE_CAP`, then replays a hit or stores `compute()` on a miss.
+    fn memo<K: Ord + 'static, V: Replay>(
+        &mut self,
+        table: fn(&mut Tables) -> &mut BTreeMap<K, V>,
+        key: K,
+        compute: impl FnOnce() -> V,
+    ) -> &V {
+        let table = table(&mut self.tables);
+        // Evict *before* taking the entry: the returned reference must
+        // point at the entry just looked up, never at one being dropped.
+        if table.len() >= TABLE_CAP && !table.contains_key(&key) && table.pop_first().is_some() {
             self.evictions += 1;
         }
-        match self.demand.entry((app, requests)) {
-            std::collections::btree_map::Entry::Occupied(e) => {
+        match table.entry(key) {
+            Entry::Occupied(e) => {
                 self.hits += 1;
-                *e.get()
+                let stored = e.into_mut();
+                if cfg!(feature = "strict-invariants") {
+                    assert!(
+                        stored.same_bits(&compute()),
+                        "strict-invariants: decision cache hit differs from a fresh computation"
+                    );
+                }
+                stored
             }
-            std::collections::btree_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 self.misses += 1;
-                *e.insert(compute())
+                e.insert(compute())
             }
         }
+    }
+
+    /// Memoised SLO-demand fraction for `(app, requests)`.
+    pub fn demand(&mut self, app: usize, requests: u32, compute: impl FnOnce() -> f64) -> f64 {
+        *self.memo(|t| &mut t.demand, (app, requests), compute)
     }
 
     /// Memoised joint `(fraction, batch)` choice for `(app, requests)`.
@@ -105,28 +165,14 @@ impl DecisionCache {
         requests: u32,
         compute: impl FnOnce() -> (f64, u32),
     ) -> (f64, u32) {
-        if self.joint.len() >= TABLE_CAP
-            && !self.joint.contains_key(&(app, requests))
-            && self.joint.pop_first().is_some()
-        {
-            self.evictions += 1;
-        }
-        match self.joint.entry((app, requests)) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                *e.get()
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                *e.insert(compute())
-            }
-        }
+        *self.memo(|t| &mut t.joint, (app, requests), compute)
     }
 
     /// `strict-invariants` check on a float cache key: the key must be a
     /// finite fraction whose bit pattern round-trips, or "same key" and
-    /// "same decision inputs" stop being the same thing.
-    fn check_key(gpu: f64) {
+    /// "same decision inputs" stop being the same thing. Returns the bit
+    /// pattern the tables key on.
+    fn check_key(gpu: f64) -> u64 {
         if cfg!(feature = "strict-invariants") {
             assert!(
                 gpu.is_finite(),
@@ -138,6 +184,7 @@ impl DecisionCache {
                 "strict-invariants: cache key does not round-trip through to_bits"
             );
         }
+        gpu.to_bits()
     }
 
     /// Memoised batch re-adjustment for `(app, requests, gpu)`.
@@ -148,24 +195,11 @@ impl DecisionCache {
         gpu: f64,
         compute: impl FnOnce() -> u32,
     ) -> u32 {
-        Self::check_key(gpu);
-        let key = (app, requests, gpu.to_bits());
-        if self.batch_at.len() >= TABLE_CAP
-            && !self.batch_at.contains_key(&key)
-            && self.batch_at.pop_first().is_some()
-        {
-            self.evictions += 1;
-        }
-        match self.batch_at.entry(key) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                *e.get()
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                *e.insert(compute())
-            }
-        }
+        *self.memo(
+            |t| &mut t.batch_at,
+            (app, requests, Self::check_key(gpu)),
+            compute,
+        )
     }
 
     /// Memoised §3.3.2 time plan for `(app, requests, gpu)`. Returns a
@@ -178,26 +212,11 @@ impl DecisionCache {
         gpu: f64,
         compute: impl FnOnce() -> TimePlan,
     ) -> &TimePlan {
-        Self::check_key(gpu);
-        let key = (app, requests, gpu.to_bits());
-        // Evict *before* taking the entry: the returned reference must
-        // point at the entry just looked up, never at one being dropped.
-        if self.plan.len() >= TABLE_CAP
-            && !self.plan.contains_key(&key)
-            && self.plan.pop_first().is_some()
-        {
-            self.evictions += 1;
-        }
-        match self.plan.entry(key) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                e.insert(compute())
-            }
-        }
+        self.memo(
+            |t| &mut t.plan,
+            (app, requests, Self::check_key(gpu)),
+            compute,
+        )
     }
 }
 
@@ -217,7 +236,14 @@ mod tests {
             });
             assert_eq!(d, 0.25);
         }
-        assert_eq!(calls, 1);
+        // Strict builds rerun the search on each of the two hits to
+        // check the replay; otherwise a hit never computes.
+        let expected = if cfg!(feature = "strict-invariants") {
+            3
+        } else {
+            1
+        };
+        assert_eq!(calls, expected);
         assert_eq!(cache.hits, 2);
         assert_eq!(cache.misses, 1);
         // A different key computes again.
@@ -225,7 +251,8 @@ mod tests {
             calls += 1;
             0.5
         });
-        assert_eq!(calls, 2);
+        assert_eq!(calls, expected + 1);
+        assert_eq!(cache.misses, 2);
     }
 
     #[test]
@@ -240,18 +267,16 @@ mod tests {
         cache.plan(0, 16, 0.25, mk);
         cache.demand(0, 16, || 0.3);
         cache.start_period();
-        let mut recomputed = false;
-        cache.plan(0, 16, 0.25, || {
-            recomputed = true;
-            mk()
-        });
-        assert!(recomputed, "plans must not survive the period boundary");
-        let mut demand_recomputed = false;
-        cache.demand(0, 16, || {
-            demand_recomputed = true;
-            0.3
-        });
-        assert!(!demand_recomputed, "demand tables are spec-lifetime");
+        let misses = cache.misses;
+        cache.plan(0, 16, 0.25, mk);
+        assert_eq!(
+            cache.misses,
+            misses + 1,
+            "plans must not survive the period boundary"
+        );
+        let hits = cache.hits;
+        cache.demand(0, 16, || 0.3);
+        assert_eq!(cache.hits, hits + 1, "demand tables are spec-lifetime");
     }
 
     #[cfg(feature = "strict-invariants")]
@@ -260,6 +285,15 @@ mod tests {
     fn strict_rejects_nan_keys() {
         let mut cache = DecisionCache::default();
         cache.batch_at(0, 16, f64::NAN, || 8);
+    }
+
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "differs from a fresh computation")]
+    fn strict_rejects_a_hit_that_replays_a_different_value() {
+        let mut cache = DecisionCache::default();
+        cache.batch_at(0, 16, 0.25, || 8);
+        cache.batch_at(0, 16, 0.25, || 4);
     }
 
     #[test]
@@ -271,10 +305,15 @@ mod tests {
         }
         assert_eq!(cache.evictions, 10);
         // The latest entry survives and replays its cached value.
-        assert_eq!(cache.demand(0, n - 1, || unreachable!()), f64::from(n - 1));
+        let hits = cache.hits;
+        assert_eq!(
+            cache.demand(0, n - 1, || f64::from(n - 1)),
+            f64::from(n - 1)
+        );
+        assert_eq!(cache.hits, hits + 1);
         // Re-presenting an existing key at cap must not evict anything.
         let before = cache.evictions;
-        cache.demand(0, n - 1, || unreachable!());
+        cache.demand(0, n - 1, || f64::from(n - 1));
         assert_eq!(cache.evictions, before);
     }
 
@@ -284,6 +323,8 @@ mod tests {
         cache.batch_at(0, 16, 0.25, || 8);
         let b = cache.batch_at(0, 16, 0.250000001, || 4);
         assert_eq!(b, 4, "nearby fractions must not alias");
-        assert_eq!(cache.batch_at(0, 16, 0.25, || unreachable!()), 8);
+        let hits = cache.hits;
+        assert_eq!(cache.batch_at(0, 16, 0.25, || 8), 8);
+        assert_eq!(cache.hits, hits + 1);
     }
 }

@@ -7,9 +7,11 @@
 //! (§3.3.1) and divide each job's SLO time between inference and
 //! retraining (§3.3.2), emitting one [`JobPlan`] per job.
 //!
-//! Planning overheads are measured with wall-clock timers and reported in
-//! the period plan (Table 1 — the paper's AdaInf takes ~4.2 s for the
-//! periodical DAG update and ~2 ms per scheduling round).
+//! The period-boundary overhead is measured with wall-clock timers and
+//! reported in the period plan; the harness times every `on_session`
+//! call into `RunMetrics::sched_overhead` (Table 1 — the paper's AdaInf
+//! takes ~4.2 s for the periodical DAG update and ~2 ms per scheduling
+//! round).
 
 use crate::cache::DecisionCache;
 use crate::config::AdaInfConfig;
@@ -20,10 +22,8 @@ use crate::plan::{AppPeriodPlan, JobPlan, PeriodPlan, Scheduler, SessionCtx};
 use crate::predict::{LatencyFeatures, LatencyPredictor, PredictedLatency};
 use crate::profiler::Profiler;
 use crate::ridag::RiDag;
-use crate::space::{
-    divide_space, divide_space_cached, divide_space_joint, divide_space_joint_cached, JobDemand,
-};
-use crate::timealloc::{allocate_time, clamp_slices, plan_time, select_structures, strategies};
+use crate::space::{divide_space, divide_space_joint, JobDemand};
+use crate::timealloc::{clamp_slices, plan_time, select_structures, strategies};
 use adainf_apps::{AppRuntime, AppSpec};
 use adainf_simcore::parallel;
 use adainf_simcore::walltime::WallTimer;
@@ -61,9 +61,6 @@ pub struct AdaInfScheduler {
     /// Live incremental-retraining progress (planned slices; the harness
     /// holds ground truth for actually consumed samples).
     pub progress: RetrainProgress,
-    /// Cumulative wall-clock spent in session scheduling, and calls.
-    sched_wall_ns: u128,
-    sched_calls: u64,
     /// Cumulative wall-clock of period-boundary drift **work** —
     /// caller-thread compute plus background-worker build time.
     drift_wall_ns: u128,
@@ -114,8 +111,6 @@ impl AdaInfScheduler {
             states: vec![AppState::default(); n],
             last_reports: Vec::new(),
             progress: RetrainProgress::new(),
-            sched_wall_ns: 0,
-            sched_calls: 0,
             drift_wall_ns: 0,
             drift_period_ns: Vec::new(),
             drift_blocked_ns: 0,
@@ -129,24 +124,6 @@ impl AdaInfScheduler {
     /// The configuration in use.
     pub fn config(&self) -> &AdaInfConfig {
         &self.config
-    }
-
-    /// Mean measured wall-clock per session scheduling call.
-    pub fn mean_sched_wall(&self) -> std::time::Duration {
-        if self.sched_calls == 0 {
-            return std::time::Duration::ZERO;
-        }
-        std::time::Duration::from_nanos((self.sched_wall_ns / self.sched_calls as u128) as u64)
-    }
-
-    /// `(hits, misses, evictions)` of the decision cache so far.
-    pub fn cache_stats(&self) -> (u64, u64, u64) {
-        (self.cache.hits, self.cache.misses, self.cache.evictions)
-    }
-
-    /// `(hits, misses)` of the drift artifact cache so far.
-    pub fn drift_cache_stats(&self) -> (u64, u64) {
-        (self.drift.hits, self.drift.misses)
     }
 
     /// Refreshes the per-node `(cut, accuracy)` tables and initial
@@ -440,7 +417,6 @@ impl Scheduler for AdaInfScheduler {
     }
 
     fn on_session(&mut self, ctx: &SessionCtx<'_>) -> Vec<JobPlan> {
-        let wall = WallTimer::start();
         let demands: Vec<JobDemand> = ctx
             .predicted
             .iter()
@@ -477,35 +453,23 @@ impl Scheduler for AdaInfScheduler {
             .cloned()
             .collect();
 
-        let mut division = match (self.config.joint_batch_space, self.config.decision_cache) {
-            (true, true) => divide_space_joint_cached(
+        let mut division = if self.config.joint_batch_space {
+            divide_space_joint(
                 &gpu_demands,
                 ctx.server.total_space(),
                 ctx.avg_job_time,
                 &self.profiler,
                 &mut self.cache,
-            ),
-            (true, false) => divide_space_joint(
-                &gpu_demands,
-                ctx.server.total_space(),
-                ctx.avg_job_time,
-                &self.profiler,
-            ),
-            (false, true) => divide_space_cached(
+            )
+        } else {
+            divide_space(
                 &gpu_demands,
                 ctx.server.total_space(),
                 ctx.avg_job_time,
                 self.config.slo_aware_space,
                 &self.profiler,
                 &mut self.cache,
-            ),
-            (false, false) => divide_space(
-                &gpu_demands,
-                ctx.server.total_space(),
-                ctx.avg_job_time,
-                self.config.slo_aware_space,
-                &self.profiler,
-            ),
+            )
         };
         // Never over-commit the free capacity: scale down proportionally.
         let wanted: f64 = division.iter().map(|d| d.gpu).sum();
@@ -539,45 +503,20 @@ impl Scheduler for AdaInfScheduler {
             .map(|(d, job)| {
                 let state = &states[job.app];
                 let spec = &specs[job.app];
-                let (cuts, batch, slices) = if config.decision_cache {
-                    // The pool-independent plan is memoised; only the
-                    // clamp against the live pools runs per session.
-                    let plan = cache.plan(job.app, job.requests, d.gpu, || {
-                        plan_time(
-                            spec,
-                            &state.ridag,
-                            state.cuts.clone(),
-                            d.gpu,
-                            job.requests,
-                            config,
-                            profiler,
-                        )
-                    });
-                    let slices = clamp_slices(&plan.proto, &ctx.pool_remaining[job.app]);
-                    (plan.cuts.clone(), plan.batch, slices)
-                } else {
-                    let acc_table = &state.acc_table;
-                    let acc = |node: usize, cut: usize| -> f64 {
-                        acc_table
-                            .get(node)
-                            .and_then(|entries| {
-                                entries.iter().find(|(c, _)| *c == cut).map(|(_, a)| *a)
-                            })
-                            .unwrap_or(0.0)
-                    };
-                    let alloc = allocate_time(
+                // The pool-independent plan is memoised; only the clamp
+                // against the live pools runs per session.
+                let plan = cache.plan(job.app, job.requests, d.gpu, || {
+                    plan_time(
                         spec,
                         &state.ridag,
-                        &acc,
-                        &state.initial_acc,
+                        state.cuts.clone(),
                         d.gpu,
                         job.requests,
-                        &ctx.pool_remaining[job.app],
                         config,
                         profiler,
-                    );
-                    (alloc.cuts, alloc.batch, alloc.slices)
-                };
+                    )
+                });
+                let slices = clamp_slices(&plan.proto, &ctx.pool_remaining[job.app]);
                 for s in &slices {
                     progress.record_slice(
                         job.app,
@@ -590,8 +529,8 @@ impl Scheduler for AdaInfScheduler {
                 JobPlan {
                     app: job.app,
                     gpu: d.gpu,
-                    batch,
-                    cuts,
+                    batch: plan.batch,
+                    cuts: plan.cuts.clone(),
                     retrain: slices,
                     exec: mode,
                     eviction: policy,
@@ -614,8 +553,6 @@ impl Scheduler for AdaInfScheduler {
             });
         }
 
-        self.sched_wall_ns += wall.elapsed_nanos();
-        self.sched_calls += 1;
         plans
     }
 }
@@ -688,7 +625,6 @@ mod tests {
             let retrain_ms: f64 = p.retrain.iter().map(|s| s.time.as_millis_f64()).sum();
             assert!(retrain_ms <= apps[p.app].spec.slo.as_millis_f64() + 1e-6);
         }
-        assert!(sched.mean_sched_wall().as_micros() < 50_000);
     }
 
     #[test]

@@ -21,22 +21,9 @@ use adainf_apps::AppSpec;
 use adainf_gpusim::{EvictionPolicyKind, ExecMode};
 use adainf_simcore::SimDuration;
 
-/// The outcome of time division for one job.
-#[derive(Clone, Debug)]
-pub struct TimeAllocation {
-    /// Structure cut per DAG node.
-    pub cuts: Vec<usize>,
-    /// Re-adjusted request batch size.
-    pub batch: u32,
-    /// Estimated total inference time of the job.
-    pub inference_time: SimDuration,
-    /// Retraining slices, one per impacted model with budget > 0.
-    pub slices: Vec<RetrainSlice>,
-}
-
 /// A retraining slice before the pool bound is applied: `fit` samples
 /// fit in the budget; the live pool state caps it at plan time.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProtoSlice {
     /// DAG node (model) index.
     pub node: usize,
@@ -54,7 +41,7 @@ pub struct ProtoSlice {
 /// clamp of slice samples against the remaining retraining pools. This
 /// is what the scheduler's decision cache stores — pools drain between
 /// sessions, so the clamp must be re-applied at every lookup.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimePlan {
     /// Structure cut per DAG node.
     pub cuts: Vec<usize>,
@@ -203,32 +190,6 @@ pub fn clamp_slices(proto: &[ProtoSlice], pool_remaining: &[usize]) -> Vec<Retra
         .collect()
 }
 
-/// Divides the job's SLO time. `accuracy(node, cut)` is the scheduler's
-/// period-refreshed structure-accuracy snapshot; `initial_acc[node]` is
-/// `I_m`; `pool_remaining[node]` bounds the retraining samples available.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_time(
-    app: &AppSpec,
-    ridag: &RiDag,
-    accuracy: &dyn Fn(usize, usize) -> f64,
-    initial_acc: &[f64],
-    gpu: f64,
-    requests: u32,
-    pool_remaining: &[usize],
-    config: &AdaInfConfig,
-    profiler: &Profiler,
-) -> TimeAllocation {
-    let cuts = select_structures(app, ridag, accuracy, initial_acc, config);
-    let plan = plan_time(app, ridag, cuts, gpu, requests, config, profiler);
-    let slices = clamp_slices(&plan.proto, pool_remaining);
-    TimeAllocation {
-        cuts: plan.cuts,
-        batch: plan.batch,
-        inference_time: plan.inference_time,
-        slices,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +205,26 @@ mod tests {
         };
         let dag = RiDag::build(&app, &report);
         (app, dag)
+    }
+
+    /// The scheduler's time division for one job, in its three steps:
+    /// `select_structures` → `plan_time` → `clamp_slices`.
+    #[allow(clippy::too_many_arguments)]
+    fn allocate(
+        app: &AppSpec,
+        ridag: &RiDag,
+        accuracy: &dyn Fn(usize, usize) -> f64,
+        initial_acc: &[f64],
+        gpu: f64,
+        requests: u32,
+        pool_remaining: &[usize],
+        config: &AdaInfConfig,
+        profiler: &Profiler,
+    ) -> (TimePlan, Vec<RetrainSlice>) {
+        let cuts = select_structures(app, ridag, accuracy, initial_acc, config);
+        let plan = plan_time(app, ridag, cuts, gpu, requests, config, profiler);
+        let slices = clamp_slices(&plan.proto, pool_remaining);
+        (plan, slices)
     }
 
     /// An accuracy oracle where every cut retains 95 % of initial
@@ -263,7 +244,7 @@ mod tests {
     fn unimpacted_models_use_full_structure() {
         let (app, dag) = surveillance_setup();
         let p = Profiler::default();
-        let alloc = allocate_time(
+        let (alloc, _) = allocate(
             &app,
             &dag,
             &acc_fn(&app),
@@ -287,7 +268,7 @@ mod tests {
     fn spare_time_split_follows_impact() {
         let (app, dag) = surveillance_setup();
         let p = Profiler::default();
-        let alloc = allocate_time(
+        let (alloc, slices) = allocate(
             &app,
             &dag,
             &acc_fn(&app),
@@ -298,14 +279,14 @@ mod tests {
             &AdaInfConfig::default(),
             &p,
         );
-        assert_eq!(alloc.slices.len(), 2);
-        let s1 = alloc.slices.iter().find(|s| s.node == 1).unwrap();
-        let s2 = alloc.slices.iter().find(|s| s.node == 2).unwrap();
+        assert_eq!(slices.len(), 2);
+        let s1 = slices.iter().find(|s| s.node == 1).unwrap();
+        let s2 = slices.iter().find(|s| s.node == 2).unwrap();
         // Impact 0.12 vs 0.04 → 3:1 time split.
         let ratio = s1.time.as_millis_f64() / s2.time.as_millis_f64();
         assert!((ratio - 3.0).abs() < 0.05, "ratio {ratio}");
         // The budgets must fit inside the SLO spare time.
-        let total: f64 = alloc.slices.iter().map(|s| s.time.as_millis_f64()).sum();
+        let total: f64 = slices.iter().map(|s| s.time.as_millis_f64()).sum();
         assert!(
             total <= app.slo.as_millis_f64() - alloc.inference_time.as_millis_f64() + 0.01
         );
@@ -315,7 +296,7 @@ mod tests {
     fn variant_i_splits_evenly() {
         let (app, dag) = surveillance_setup();
         let p = Profiler::default();
-        let alloc = allocate_time(
+        let (_, slices) = allocate(
             &app,
             &dag,
             &acc_fn(&app),
@@ -326,7 +307,7 @@ mod tests {
             &AdaInfConfig::variant_i(),
             &p,
         );
-        let times: Vec<f64> = alloc.slices.iter().map(|s| s.time.as_millis_f64()).collect();
+        let times: Vec<f64> = slices.iter().map(|s| s.time.as_millis_f64()).collect();
         assert!((times[0] - times[1]).abs() < 0.01, "{times:?}");
     }
 
@@ -334,7 +315,7 @@ mod tests {
     fn variant_e_uses_full_structures() {
         let (app, dag) = surveillance_setup();
         let p = Profiler::default();
-        let alloc = allocate_time(
+        let (alloc, _) = allocate(
             &app,
             &dag,
             &acc_fn(&app),
@@ -352,7 +333,7 @@ mod tests {
     fn pool_exhaustion_limits_samples() {
         let (app, dag) = surveillance_setup();
         let p = Profiler::default();
-        let alloc = allocate_time(
+        let (_, slices) = allocate(
             &app,
             &dag,
             &acc_fn(&app),
@@ -364,7 +345,7 @@ mod tests {
             &p,
         );
         // Pools for nodes 1 and 2 are empty → no slices at all.
-        assert!(alloc.slices.is_empty(), "{:?}", alloc.slices);
+        assert!(slices.is_empty(), "{:?}", slices);
     }
 
     #[test]
@@ -397,7 +378,7 @@ mod tests {
     fn no_retraining_when_disabled() {
         let (app, dag) = surveillance_setup();
         let p = Profiler::default();
-        let alloc = allocate_time(
+        let (alloc, slices) = allocate(
             &app,
             &dag,
             &acc_fn(&app),
@@ -408,7 +389,7 @@ mod tests {
             &AdaInfConfig::early_without_retraining(),
             &p,
         );
-        assert!(alloc.slices.is_empty());
+        assert!(slices.is_empty());
         // Early exits still used (it is "Early"-w/o).
         assert!(alloc.cuts[1] < app.nodes[1].profile.full_cut());
     }
@@ -418,7 +399,7 @@ mod tests {
         let (app, dag) = surveillance_setup();
         let p = Profiler::default();
         // A tiny fraction with a large job: inference exceeds the SLO.
-        let alloc = allocate_time(
+        let (alloc, slices) = allocate(
             &app,
             &dag,
             &acc_fn(&app),
@@ -430,6 +411,6 @@ mod tests {
             &p,
         );
         assert!(alloc.inference_time > app.slo);
-        assert!(alloc.slices.is_empty());
+        assert!(slices.is_empty());
     }
 }
