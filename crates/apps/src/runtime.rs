@@ -18,10 +18,6 @@ use adainf_modelzoo::head::HEAD_EXITS;
 use adainf_modelzoo::TrainableModel;
 use adainf_simcore::{Prng, SimTime};
 
-/// Samples drawn per node per period as the retraining pool (stand-in for
-/// "the inference requests collected during the previous time period").
-pub const DEFAULT_POOL_SIZE: usize = 1500;
-
 /// Evaluation-set size per node per period.
 pub const EVAL_SIZE: usize = 400;
 
@@ -108,11 +104,6 @@ impl AppRuntime {
         rt
     }
 
-    /// Convenience constructor with default arrival/pool settings.
-    pub fn with_defaults(spec: AppSpec, root: &Prng) -> Self {
-        AppRuntime::new(spec, ArrivalConfig::default(), DEFAULT_POOL_SIZE, root)
-    }
-
     fn initial_train(&mut self) {
         for i in 0..self.models.len() {
             let train = self.streams[i].sample(700);
@@ -150,11 +141,6 @@ impl AppRuntime {
     /// counterfactual.
     pub fn ref_samples(&self, node: usize) -> &LabeledSamples {
         &self.old_ref[node]
-    }
-
-    /// The current evaluation set of node `i`.
-    pub fn eval_set(&self, node: usize) -> &LabeledSamples {
-        &self.eval_sets[node]
     }
 
     /// Advances to the next period: the current pools' data becomes the

@@ -7,8 +7,6 @@
 //!   work through a shared [`DriftCache`]: detection plus one
 //!   retraining-order lookup per node, paying for each node's
 //!   feature/PCA/ranking artifacts once.
-//! * `drift/retrain_order_single_node` — the standalone §3.3.2
-//!   deviation-ordered retraining selection for one node.
 
 #![forbid(unsafe_code)]
 
@@ -16,8 +14,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adainf_apps::{catalog, AppRuntime};
-use adainf_core::drift_cache::{DetectScratch, DriftCache};
-use adainf_core::drift_detect::{detect_drift, detect_drift_cached, retrain_order};
+use adainf_core::drift_cache::DriftCache;
+use adainf_core::drift_detect::{detect_drift, detect_drift_cached};
 use adainf_core::AdaInfConfig;
 use adainf_driftgen::workload::ArrivalConfig;
 use adainf_simcore::Prng;
@@ -62,11 +60,6 @@ fn bench_drift(c: &mut Criterion) {
             }
             black_box(report)
         })
-    });
-
-    group.bench_function("retrain_order_single_node", |b| {
-        let mut scratch = DetectScratch::default();
-        b.iter(|| black_box(retrain_order(&rt, 1, config.pca_components, &root, &mut scratch)))
     });
 
     group.finish();

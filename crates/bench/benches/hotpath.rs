@@ -34,9 +34,6 @@ fn bench_gemm(c: &mut Criterion) {
     let mut out = Matrix::zeros(0, 0);
 
     let mut group = c.benchmark_group("gemm");
-    group.bench_function("matmul_32x256x64_alloc", |bch| {
-        bch.iter(|| black_box(black_box(&a).matmul(black_box(&b))))
-    });
     group.bench_function("matmul_into_32x256x64", |bch| {
         bch.iter(|| black_box(&a).matmul_into(black_box(&b), &mut out))
     });

@@ -111,15 +111,6 @@ impl DecisionCache {
         self.tables.plan.clear();
     }
 
-    /// Fraction of lookups answered from a table.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-
     /// The one memo primitive behind every table: keeps the table within
     /// `TABLE_CAP`, then replays a hit or stores `compute()` on a miss.
     fn memo<K: Ord + 'static, V: Replay>(

@@ -5,7 +5,7 @@
 //! the old training data, projections, per-class means and deviation
 //! rankings — and historically recomputed them per consumer: twice inside
 //! `detect_drift` (pool + reference rankings each refit the PCA) and a
-//! third time in `retrain_order` for every impacted node. This module
+//! third time for every impacted node's retraining order. This module
 //! computes each node's artifacts **exactly once per period** and shares
 //! them.
 //!
@@ -19,8 +19,8 @@
 //! `(pool generation, model version)`. The pool generation is the
 //! runtime's period counter — `advance_period` wholesale-replaces pools
 //! and reference sets, so any period bump invalidates. The model version
-//! bumps on every retraining slice and parameter load, so a retrained
-//! model never serves stale rankings.
+//! bumps on every retraining slice, so a retrained model never serves
+//! stale rankings.
 
 use adainf_apps::AppRuntime;
 use adainf_driftgen::LabeledSamples;
@@ -308,14 +308,13 @@ fn rank_features(
     features: &Matrix,
     pca: &Pca,
     means: &[Vec<f32>],
-    pca_scratch: &mut PcaScratch,
     projected: &mut Matrix,
     scored: &mut Vec<(usize, f64)>,
 ) -> Vec<usize> {
     if new.is_empty() {
         return Vec::new();
     }
-    pca.transform_into(features, pca_scratch, projected);
+    pca.transform_into(features, projected);
     scored.clear();
     scored.extend((0..new.len()).map(|i| {
         let mean = &means[new.labels[i]];
@@ -353,13 +352,11 @@ fn interleave(ranked: &[usize]) -> Vec<usize> {
     out
 }
 
-/// The deviation rankings of the pool and (optionally) the held-out
-/// reference set, from one feature pass over the old data and **one**
-/// shared PCA fit, plus the fitted basis for warm-starting the next
-/// period and the pool's feature matrix for carrying into the next
-/// period's old-feature slot. The pool ranking never depends on whether
-/// the reference ranking is computed — the keyed PCA stream is consumed
-/// identically either way.
+/// The deviation rankings of the pool and the held-out reference set,
+/// from one feature pass over the old data and **one** shared PCA fit,
+/// plus the fitted basis for warm-starting the next period and the
+/// pool's feature matrix for carrying into the next period's
+/// old-feature slot.
 ///
 /// `carry` is an owned buffer with two roles. When its row count matches
 /// the old set, it is the previous period's pool-feature matrix at an
@@ -373,14 +370,12 @@ fn interleave(ranked: &[usize]) -> Vec<usize> {
 /// next-period carry, so the steady state recycles one feature
 /// allocation per `(app, node)` instead of faulting in a fresh matrix
 /// every period.
-#[allow(clippy::too_many_arguments)]
 fn rankings(
     inputs: &DriftInputs<'_>,
     node: usize,
     pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
-    with_ref: bool,
     warm: Option<&Matrix>,
     carry: Matrix,
 ) -> (Vec<usize>, Vec<usize>, Matrix, Matrix) {
@@ -413,63 +408,15 @@ fn rankings(
     }
     let mut rng = root.split(PCA_STREAM ^ (period << 16) ^ node as u64);
     let pca = Pca::fit_warm_with_scratch(&feats, pca_components, &mut rng, pca_scratch, warm);
-    pca.transform_into(&feats, pca_scratch, projected);
+    pca.transform_into(&feats, projected);
     let means = class_means(projected, &old.labels, model.classes());
     // The old features are dead from here on: overwrite the buffer with
     // the pool's features and hand it back as the next-period carry.
     model.features_into(pool, &mut feats);
-    let deviation = rank_features(pool, &feats, &pca, &means, pca_scratch, projected, scored);
-    let ref_order = if with_ref {
-        model.features_into(held_out, ref_feats);
-        rank_features(held_out, ref_feats, &pca, &means, pca_scratch, projected, scored)
-    } else {
-        Vec::new()
-    };
+    let deviation = rank_features(pool, &feats, &pca, &means, projected, scored);
+    model.features_into(held_out, ref_feats);
+    let ref_order = rank_features(held_out, ref_feats, &pca, &means, projected, scored);
     (deviation, ref_order, pca.into_components(), feats)
-}
-
-/// The pool deviation ranking alone — the cheap subset of
-/// [`build_artifacts`] for consumers that never read the prefix-sums or
-/// the reference order (standalone order queries outside the scheduler's
-/// cached detection path). Bit-equal to `build_artifacts(..).deviation`,
-/// at none of the cost of the two full-set correctness passes.
-pub fn build_deviation_ranking(
-    rt: &AppRuntime,
-    node: usize,
-    pca_components: usize,
-    root: &Prng,
-    scratch: &mut DetectScratch,
-) -> Vec<usize> {
-    let inputs = DriftInputs::from_runtime(rt, node);
-    rankings(
-        &inputs,
-        node,
-        pca_components,
-        root,
-        scratch,
-        false,
-        None,
-        Matrix::default(),
-    )
-    .0
-}
-
-/// The §3.3.2 retraining order alone — [`build_deviation_ranking`]'s
-/// interleave, bit-equal to `build_artifacts(..).retrain`.
-pub fn build_retrain_order(
-    rt: &AppRuntime,
-    node: usize,
-    pca_components: usize,
-    root: &Prng,
-    scratch: &mut DetectScratch,
-) -> Vec<usize> {
-    interleave(&build_deviation_ranking(
-        rt,
-        node,
-        pca_components,
-        root,
-        scratch,
-    ))
 }
 
 /// Builds one node's ranked artifact set — both deviation rankings and
@@ -492,7 +439,7 @@ fn build_ranked(
     carry: Matrix,
 ) -> DriftArtifacts {
     let (deviation, ref_order, basis, pool_features) =
-        rankings(inputs, node, pca_components, root, scratch, true, warm, carry);
+        rankings(inputs, node, pca_components, root, scratch, warm, carry);
     let retrain = interleave(&deviation);
     let artifacts = DriftArtifacts {
         deviation,
@@ -963,23 +910,6 @@ mod tests {
         // Stable key afterwards: hit again.
         cache.artifacts(0, &rt, 1, 8, &root);
         assert_eq!((cache.hits, cache.misses), (2, 3));
-    }
-
-    /// The lean standalone builders must reproduce the full build's
-    /// orders bit-for-bit — skipping the reference ranking and the two
-    /// correctness passes must not perturb the keyed PCA stream.
-    #[test]
-    fn lean_builders_match_full_artifacts() {
-        let rt = drifted_runtime(2);
-        let root = Prng::new(7);
-        let mut scratch = DetectScratch::default();
-        for node in 0..rt.spec.nodes.len() {
-            let full = build_artifacts(&rt, node, 8, &root, &mut scratch);
-            let deviation = build_deviation_ranking(&rt, node, 8, &root, &mut scratch);
-            let retrain = build_retrain_order(&rt, node, 8, &root, &mut scratch);
-            assert_eq!(deviation, full.deviation, "node {node}");
-            assert_eq!(retrain, full.retrain, "node {node}");
-        }
     }
 
     /// The overlapped pipeline's handoff: boundary snapshots built on

@@ -22,6 +22,10 @@
 //! * [`workload::ArrivalTrace`] — a diurnal-plus-bursts request-rate curve
 //!   with Poisson arrivals per 5 ms session, standing in for the Twitter
 //!   trace.
+//! * [`scenario::DriftProfile`] — the named drift intensities the
+//!   application catalogue tags each model's task stream with.
+//! * [`faultgen::FaultSpec`] — seeded fault schedules (request bursts,
+//!   memory pressure, pool starvation, device stalls) for the chaos runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,12 +34,10 @@ pub mod faultgen;
 pub mod pool;
 pub mod scenario;
 pub mod stream;
-pub mod trace;
 pub mod workload;
 
 pub use faultgen::{FaultKind, FaultSpec, FaultTimeline, Impairments};
 pub use pool::RetrainPool;
 pub use scenario::DriftProfile;
 pub use stream::{LabeledSamples, TaskStream, TaskStreamConfig};
-pub use trace::Trace;
 pub use workload::ArrivalTrace;

@@ -111,12 +111,6 @@ impl RetrainPool {
         self.cursor = end;
         batch
     }
-
-    /// Peeks at the next `n` sample indices without consuming them.
-    pub fn peek_indices(&self, n: usize) -> &[usize] {
-        let end = self.cursor.saturating_add(n).min(self.order.len());
-        &self.order[self.cursor..end]
-    }
 }
 
 #[cfg(test)]

@@ -57,12 +57,6 @@ impl TaskStreamConfig {
         self.mean_drift = mean_drift;
         self
     }
-
-    /// Sets the within-class noise.
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
-        self
-    }
 }
 
 /// A batch of labelled samples.

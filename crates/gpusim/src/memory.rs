@@ -239,11 +239,6 @@ impl GpuMemory {
         &self.reuse_events
     }
 
-    /// Clears recorded reuse events (between measurement phases).
-    pub fn clear_reuse_events(&mut self) {
-        self.reuse_events.clear();
-    }
-
     /// `S_c = (1−α)·R_c + α·L_s` for a resident entry (§3.4.2). Dead
     /// blocks score infinitely high: they are never needed again.
     fn score(&self, key: &ContentKey, entry: &Resident) -> f64 {
@@ -504,49 +499,14 @@ impl GpuMemory {
         comm
     }
 
-    /// Marks all intermediates of `(app, job)` dead. With AdaInf's
-    /// maximise-usage strategy (§3.4.1) this is called on job completion:
-    /// "evict all intermediate outputs of the job but retain the updated
+    /// Marks all intermediates of job `job_hi` of `app` dead, whatever
+    /// their slot: the execution engine encodes intermediate slots as
+    /// `key.job = (job << 8) | slot`. With AdaInf's maximise-usage
+    /// strategy (§3.4.1) this is called on job completion: "evict all
+    /// intermediate outputs of the job but retain the updated
     /// parameters". Dead blocks are dropped without writeback when space
-    /// is needed; `eager` drops them immediately.
-    pub fn retire_job(&mut self, app: u32, job: u64, eager: bool) {
-        let keys: Vec<ContentKey> = self
-            .resident
-            .keys()
-            .filter(|k| {
-                k.app == app && k.job == job && k.ctype == ContentType::Intermediate
-            })
-            .copied()
-            .collect();
-        for key in keys {
-            if eager {
-                if let Some(e) = self.resident.remove(&key) {
-                    if cfg!(feature = "strict-invariants") {
-                        assert!(self.used >= e.bytes, "strict-invariants: resident accounting underflow");
-                    }
-                    self.used -= e.bytes;
-                    self.stats.drops += 1;
-                }
-            } else if let Some(e) = self.resident.get_mut(&key) {
-                e.dead = true;
-            }
-        }
-        // Also forget spilled intermediates of the job.
-        self.spilled.retain(|k, loc| {
-            let dead =
-                k.app == app && k.job == job && k.ctype == ContentType::Intermediate;
-            if dead && *loc == CpuLocation::Pinned {
-                // (bytes unknown once spilled; PIN accounting keeps the
-                // reservation until next fetch — conservatively release
-                // nothing here.)
-            }
-            !dead
-        });
-    }
-
-    /// Like [`Self::retire_job`], but for the execution engine's encoded
-    /// intermediate slots (`key.job = (job << 8) | slot`): retires every
-    /// intermediate of `(app, job_hi)` whatever its slot.
+    /// is needed; `eager` drops them immediately. Spilled intermediates
+    /// of the job are forgotten.
     pub fn retire_job_group(&mut self, app: u32, job_hi: u64, eager: bool) {
         let keys: Vec<ContentKey> = self
             .resident
@@ -787,9 +747,9 @@ mod tests {
     #[test]
     fn dead_intermediates_drop_without_writeback() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
-        let inter = ContentKey::intermediate(1, 1, 0, 7);
+        let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
         mem.access(inter, 900, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
-        mem.retire_job(1, 7, false);
+        mem.retire_job_group(1, 7, false);
         let before = mem.stats().comm_time;
         let other = ContentKey::intermediate(2, 1, 0, 8);
         let cost = mem.access(other, 900, TaskContext::Inference, 8, 0, 400.0, AccessIntent::Produce, t(10));
@@ -801,12 +761,12 @@ mod tests {
     #[test]
     fn eager_retire_frees_immediately() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
-        let inter = ContentKey::intermediate(1, 1, 0, 7);
+        let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
         let param = ContentKey::param(1, 1, 0);
         mem.access(inter, 300, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
         mem.access(param, 300, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Fetch, t(1));
         let used = mem.used();
-        mem.retire_job(1, 7, true);
+        mem.retire_job_group(1, 7, true);
         assert_eq!(mem.used(), used - 300, "intermediate freed, param kept");
     }
 
@@ -890,9 +850,9 @@ mod tests {
     #[test]
     fn pressure_storm_counts_dead_drops_separately() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
-        let inter = ContentKey::intermediate(1, 1, 0, 7);
+        let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
         mem.access(inter, 600, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
-        mem.retire_job(1, 7, false);
+        mem.retire_job_group(1, 7, false);
         let comm = mem.apply_pressure(0.1, t(10));
         assert_eq!(comm, SimDuration::ZERO, "dead blocks drop for free");
         assert_eq!(mem.stats().pressure_evictions, 1);

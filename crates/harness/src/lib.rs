@@ -15,8 +15,8 @@
 //!   overheads.
 //! * [`experiments`] — one entry point per figure/table of the paper,
 //!   used by the `adainf-bench` regenerator binaries.
-//! * [`report`] — plain-text/markdown/JSON emitters for the regenerated
-//!   tables and series.
+//! * [`report`] — plain-text/markdown emitters for the regenerated
+//!   tables.
 //! * [`chaos`] — the chaos experiment suite: named fault scenarios
 //!   (request bursts, eviction storms, pool starvation, device stalls)
 //!   run against the schedulers, with per-scenario SLO-violation bounds.

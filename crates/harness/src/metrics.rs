@@ -83,14 +83,6 @@ pub struct RunMetrics {
     pub retrain_samples: Vec<Vec<u64>>,
     /// Per-application end-to-end job latency histogram (0–2000 ms).
     pub per_app_latency: Vec<Histogram>,
-    /// Diagnostics: per-job allocated GPU fraction.
-    pub diag_gpu: OnlineStats,
-    /// Diagnostics: free GPUs seen at plan time.
-    pub diag_free: OnlineStats,
-    /// Diagnostics: retraining samples planned per job.
-    pub diag_planned: OnlineStats,
-    /// Diagnostics: retraining samples actually taken per job.
-    pub diag_taken: OnlineStats,
     /// Requests shed by SLO-aware admission control (counted as missed
     /// in `finish` but consuming no service time). Zero without faults.
     pub shed_requests: u64,
@@ -178,10 +170,6 @@ impl RunMetrics {
                 .iter()
                 .map(|_| Histogram::new(0.0, 2000.0, 400))
                 .collect(),
-            diag_gpu: OnlineStats::new(),
-            diag_free: OnlineStats::new(),
-            diag_planned: OnlineStats::new(),
-            diag_taken: OnlineStats::new(),
             shed_requests: 0,
             degraded_jobs: 0,
             dropped_retrain_slices: 0,

@@ -755,7 +755,6 @@ impl Simulation {
         self.metrics
             .sched_overhead
             .add(wall.elapsed_ms());
-        self.metrics.diag_free.add(free);
 
         scratch.served.clear();
         scratch.served.resize(n_apps, false);
@@ -767,11 +766,6 @@ impl Simulation {
             if n == 0 {
                 continue;
             }
-
-            self.metrics.diag_gpu.add(plan.gpu);
-            self.metrics
-                .diag_planned
-                .add(plan.retrain.iter().map(|s| s.samples as f64).sum());
 
             // Pure pre-computation, moved ahead of the retraining loop
             // (which only mutates pools/models/metrics): the serial wait
@@ -785,26 +779,26 @@ impl Simulation {
             } else {
                 SimDuration::ZERO
             };
+            // Worst-case inference latency of `n` requests, for the
+            // initial cost and the re-cost after admission sheds.
             // Transient device stalls inflate the GPU latency law for
             // the session (CPU-offloaded jobs are unaffected).
-            let stalled = !plan.cpu && imp.latency_inflation > 1.0;
-            let mut inference = if plan.cpu {
-                self.profiler.latency.cpu_inference(&cost, n)
+            let latency = if !plan.cpu && imp.latency_inflation > 1.0 {
+                self.profiler.latency.with_stall(imp.latency_inflation)
             } else {
-                let inflation =
-                    self.profiler.comm.inflation(plan.exec, plan.eviction);
-                let lat = if stalled {
-                    self.profiler
-                        .latency
-                        .with_stall(imp.latency_inflation)
-                        .worst_case(&cost, n, plan.batch, plan.gpu)
-                } else {
-                    self.profiler
-                        .latency
-                        .worst_case(&cost, n, plan.batch, plan.gpu)
-                };
-                lat.mul_f64(inflation)
+                self.profiler.latency.clone()
             };
+            let inflation = self.profiler.comm.inflation(plan.exec, plan.eviction);
+            let inference_for = |n: u32| {
+                if plan.cpu {
+                    latency.cpu_inference(&cost, n)
+                } else {
+                    latency
+                        .worst_case(&cost, n, plan.batch, plan.gpu)
+                        .mul_f64(inflation)
+                }
+            };
+            let mut inference = inference_for(n);
 
             // Inference-only fallback: when a fault window collapsed the
             // spare time the plan assumed, drop the planned retraining
@@ -864,8 +858,6 @@ impl Simulation {
                 self.metrics.retrain_latency.add(time.as_millis_f64());
                 self.updated_this_period[app][slice.node] = true;
             }
-
-            self.metrics.diag_taken.add(taken_total);
 
             // Bounded reload retry: while a pressure window is open, a
             // GPU job's parameters may have been evicted by the storm
@@ -948,11 +940,7 @@ impl Simulation {
                     self.profiler
                         .latency
                         .per_batch_inference(&cost, plan.batch, plan.gpu)
-                        .mul_f64(
-                            self.profiler
-                                .comm
-                                .inflation(plan.exec, plan.eviction),
-                        )
+                        .mul_f64(inflation)
                         .as_micros() as f64
                 }
             } else {
@@ -1008,25 +996,7 @@ impl Simulation {
                         continue;
                     }
                     // Re-cost the inference for the admitted prefix.
-                    inference = if plan.cpu {
-                        self.profiler.latency.cpu_inference(&cost, n_served)
-                    } else {
-                        let inflation = self
-                            .profiler
-                            .comm
-                            .inflation(plan.exec, plan.eviction);
-                        let lat = if stalled {
-                            self.profiler
-                                .latency
-                                .with_stall(imp.latency_inflation)
-                                .worst_case(&cost, n_served, plan.batch, plan.gpu)
-                        } else {
-                            self.profiler
-                                .latency
-                                .worst_case(&cost, n_served, plan.batch, plan.gpu)
-                        };
-                        lat.mul_f64(inflation)
-                    };
+                    inference = inference_for(n_served);
                 }
             }
 

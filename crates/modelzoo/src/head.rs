@@ -28,17 +28,10 @@ pub struct TrainableModel {
     version: u64,
     /// Samples consumed by retraining since construction.
     trained_samples: u64,
-    /// Reusable mini-batch buffer for [`Self::train_slice`].
-    slice_scratch: SliceScratch,
-}
-
-/// Scratch buffer reused by every [`TrainableModel::train_slice`]
-/// mini-batch: the input rows of the current chunk are copied here
-/// (one contiguous slab) instead of allocating an index vector and a
-/// cloned sample set per 32-sample SGD step.
-#[derive(Clone, Debug, Default)]
-struct SliceScratch {
-    inputs: Matrix,
+    /// Reusable mini-batch input slab for [`Self::train_slice`]: the
+    /// rows of the current chunk are copied here instead of allocating
+    /// an index vector and a cloned sample set per 32-sample SGD step.
+    slice_inputs: Matrix,
 }
 
 /// Per-*worker* training buffers for parallel `train_slice` fan-outs:
@@ -69,7 +62,7 @@ impl TrainableModel {
             head: EarlyExitMlp::new(config, rng),
             version: 0,
             trained_samples: 0,
-            slice_scratch: SliceScratch::default(),
+            slice_inputs: Matrix::default(),
         }
     }
 
@@ -108,14 +101,9 @@ impl TrainableModel {
         )
     }
 
-    /// Predicted class per sample at the given cut.
-    pub fn predict(&self, inputs: &Matrix, cut: usize) -> Vec<usize> {
-        self.head.predict(inputs, self.head_exit_for_cut(cut))
-    }
-
-    /// [`Self::predict`] through caller-provided inference buffers —
-    /// bit-identical predictions, no per-call allocations beyond the
-    /// returned index vector.
+    /// Predicted class per sample at the given cut, through
+    /// caller-provided inference buffers — no per-call allocations
+    /// beyond the returned index vector.
     pub fn predict_with_scratch(
         &self,
         inputs: &Matrix,
@@ -151,58 +139,54 @@ impl TrainableModel {
     /// One retraining slice: mini-batch SGD over `samples` for `epochs`
     /// passes, bumping the version. Empty batches are no-ops.
     pub fn train_slice(&mut self, samples: &LabeledSamples, epochs: usize) {
-        if samples.is_empty() || epochs == 0 {
-            return;
-        }
-        let n = samples.len();
-        for _ in 0..epochs {
-            let mut start = 0;
-            while start < n {
-                let end = (start + Self::SGD_BATCH).min(n);
-                // Chunks are contiguous row ranges: copy the slab into the
-                // reusable scratch matrix and borrow the label slice —
-                // zero allocations per mini-batch once warm, and the SGD
-                // math is unchanged (identical rows, identical order).
-                self.slice_scratch
-                    .inputs
-                    .copy_rows_from(&samples.inputs, start, end);
-                self.head
-                    .train_batch_parts(&self.slice_scratch.inputs, &samples.labels[start..end]);
-                start = end;
-            }
-        }
-        self.version += 1;
-        self.trained_samples += n as u64;
+        // Taking the slab out (and back) lends it to the shared body
+        // without an allocation.
+        let mut inputs = std::mem::take(&mut self.slice_inputs);
+        self.train_chunks(samples, epochs, &mut inputs, None);
+        self.slice_inputs = inputs;
     }
 
     /// [`Self::train_slice`] through caller-owned buffers — the entry
     /// point for parallel training fan-outs (one warmed
-    /// [`TrainSliceScratch`] per worker). Identical chunking, identical
-    /// SGD math, identical version/sample accounting; results are bit
-    /// for bit the same as the embedded-scratch path.
+    /// [`TrainSliceScratch`] per worker). The buffers carry no model
+    /// state, so results are bit for bit the same as the embedded-scratch
+    /// path.
     pub fn train_slice_with(
         &mut self,
         samples: &LabeledSamples,
         epochs: usize,
         scratch: &mut TrainSliceScratch,
     ) {
+        let TrainSliceScratch { inputs, net } = scratch;
+        self.train_chunks(samples, epochs, inputs, Some(net));
+    }
+
+    /// The body of both slice entry points: `epochs` passes of
+    /// [`Self::SGD_BATCH`]-sample SGD steps, then the version/sample
+    /// accounting. Chunks are contiguous row ranges, copied into the
+    /// reusable `inputs` slab with the label slice borrowed — zero
+    /// allocations per mini-batch once warm. `net` is the backward-pass
+    /// scratch; `None` uses the head's embedded one.
+    fn train_chunks(
+        &mut self,
+        samples: &LabeledSamples,
+        epochs: usize,
+        inputs: &mut Matrix,
+        mut net: Option<&mut TrainScratch>,
+    ) {
         if samples.is_empty() || epochs == 0 {
             return;
         }
         let n = samples.len();
         for _ in 0..epochs {
-            let mut start = 0;
-            while start < n {
+            for start in (0..n).step_by(Self::SGD_BATCH) {
                 let end = (start + Self::SGD_BATCH).min(n);
-                scratch
-                    .inputs
-                    .copy_rows_from(&samples.inputs, start, end);
-                self.head.train_batch_parts_with(
-                    &scratch.inputs,
-                    &samples.labels[start..end],
-                    &mut scratch.net,
-                );
-                start = end;
+                inputs.copy_rows_from(&samples.inputs, start, end);
+                let labels = &samples.labels[start..end];
+                match net.as_deref_mut() {
+                    Some(net) => self.head.train_batch_parts_with(inputs, labels, net),
+                    None => self.head.train_batch_parts(inputs, labels),
+                };
             }
         }
         self.version += 1;
@@ -220,17 +204,6 @@ impl TrainableModel {
     /// period instead of allocating per pass.
     pub fn features_into(&self, samples: &LabeledSamples, out: &mut Matrix) {
         self.head.features_into(&samples.inputs, out);
-    }
-
-    /// Snapshot of the head parameters (for parameter averaging, §3.3.2).
-    pub fn snapshot_params(&self) -> Vec<f32> {
-        self.head.flatten_params()
-    }
-
-    /// Replaces the head parameters with a snapshot.
-    pub fn load_params(&mut self, params: &[f32]) {
-        self.head.load_params(params);
-        self.version += 1;
     }
 }
 
@@ -326,28 +299,18 @@ mod tests {
             assert_eq!(a.version(), b.version(), "round {round}");
             assert_eq!(a.trained_samples(), b.trained_samples());
         }
-        assert_eq!(a.snapshot_params(), b.snapshot_params());
+        // Every exit's class probabilities read every parameter.
+        for exit in 0..HEAD_EXITS {
+            assert_eq!(
+                a.head.probabilities(&eval.inputs, exit),
+                b.head.probabilities(&eval.inputs, exit),
+                "exit {exit}"
+            );
+        }
+        let mut infer = InferScratch::default();
         assert_eq!(
-            a.predict(&eval.inputs, a.profile.full_cut()),
-            b.predict(&eval.inputs, b.profile.full_cut())
+            a.predict_with_scratch(&eval.inputs, a.profile.full_cut(), &mut infer),
+            b.predict_with_scratch(&eval.inputs, b.profile.full_cut(), &mut infer)
         );
-    }
-
-    #[test]
-    fn snapshot_round_trip() {
-        let (mut model, mut stream) = setup();
-        let train = stream.sample(200);
-        model.train_slice(&train, 5);
-        let snap = model.snapshot_params();
-        let mut other = {
-            let root = Prng::new(77);
-            let mut rng = root.split(1);
-            TrainableModel::new(zoo::mobilenet_v2(), 6, &mut rng)
-        };
-        other.load_params(&snap);
-        let eval = stream.sample(200);
-        let a = model.predict(&eval.inputs, model.profile.full_cut());
-        let b = other.predict(&eval.inputs, other.profile.full_cut());
-        assert_eq!(a, b);
     }
 }

@@ -65,23 +65,6 @@ impl ModelProfile {
         }
     }
 
-    /// Applies a model-compression factor (DeepSpeed-style, §4): FLOPs
-    /// and parameter bytes shrink by `factor`; activation footprints are
-    /// architecture-bound and stay.
-    ///
-    /// # Panics
-    /// Panics unless `0 < factor <= 1`.
-    pub fn compressed(mut self, factor: f64) -> ModelProfile {
-        assert!(factor > 0.0 && factor <= 1.0, "factor must be in (0, 1]");
-        for f in &mut self.layer_flops {
-            *f *= factor;
-        }
-        for p in &mut self.layer_param_bytes {
-            *p = (*p as f64 * factor) as u64;
-        }
-        self
-    }
-
     /// Number of layers in the full structure.
     pub fn num_layers(&self) -> usize {
         self.layer_flops.len()
@@ -141,12 +124,6 @@ impl ModelProfile {
     pub fn full_cut(&self) -> usize {
         self.num_layers() - 1
     }
-
-    /// Fraction of the full structure's FLOPs retained by cut `cut`.
-    pub fn depth_fraction(&self, cut: usize) -> f64 {
-        let total: f64 = self.layer_flops.iter().sum();
-        self.structure_cost(cut).flops_per_sample / total.max(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -198,30 +175,6 @@ mod tests {
             p.full_cost().flops_per_sample,
             p.structure_cost(p.full_cut()).flops_per_sample
         );
-    }
-
-    #[test]
-    fn depth_fraction_is_one_at_full() {
-        let p = profile();
-        assert!((p.depth_fraction(p.full_cut()) - 1.0).abs() < 1e-12);
-        assert!(p.depth_fraction(2) < 0.5);
-    }
-
-    #[test]
-    fn compression_scales_flops_and_params_only() {
-        let p = profile();
-        let act_before: u64 = p.layer_activation_bytes.iter().sum();
-        let c = p.clone().compressed(0.5);
-        let flops: f64 = c.layer_flops.iter().sum();
-        assert!((flops - 4.5e7).abs() / 4.5e7 < 1e-9);
-        let act_after: u64 = c.layer_activation_bytes.iter().sum();
-        assert_eq!(act_before, act_after);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be in")]
-    fn bad_compression_rejected() {
-        profile().compressed(1.5);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::matrix::Matrix;
 use adainf_simcore::Prng;
 
-/// The update rule applied by [`Dense::backward`].
+/// The update rule applied by [`Dense::backward_scratch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Update {
     /// Classic SGD with momentum: `v = m·v − lr·g ; w += v`.
@@ -57,15 +57,6 @@ pub struct Dense {
     steps: u64,
 }
 
-/// Cached activations needed by the backward pass of one layer.
-#[derive(Clone, Debug)]
-pub struct DenseCache {
-    /// The layer input.
-    pub input: Matrix,
-    /// Pre-activation output (before ReLU), used for the ReLU mask.
-    pub pre: Matrix,
-}
-
 /// Reusable parameter-gradient buffers for [`Dense::backward_scratch`].
 /// Holding one of these across SGD steps makes the backward pass free
 /// of heap allocations in steady state.
@@ -100,29 +91,9 @@ impl Dense {
         self.weights.cols()
     }
 
-    /// Number of trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.weights.rows() * self.weights.cols() + self.bias.len()
-    }
-
-    /// Forward pass; returns the activation and the cache for backward.
-    pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
-        let mut pre = Matrix::default();
-        let mut out = Matrix::default();
-        self.forward_into(input, &mut pre, &mut out);
-        (
-            out,
-            DenseCache {
-                input: input.clone(),
-                pre,
-            },
-        )
-    }
-
     /// Forward pass writing the pre-activation into `pre` and the
     /// activation into `out`, both reshaped in place. Allocation-free
-    /// once the buffers have warmed up; values match [`Self::forward`]
-    /// exactly.
+    /// once the buffers have warmed up.
     pub fn forward_into(&self, input: &Matrix, pre: &mut Matrix, out: &mut Matrix) {
         input.matmul_into(&self.weights, pre);
         pre.add_row_vec(&self.bias);
@@ -132,7 +103,7 @@ impl Dense {
         }
     }
 
-    /// Forward pass without caching (inference).
+    /// Inference forward pass into a freshly allocated output.
     pub fn infer(&self, input: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         self.infer_into(input, &mut out);
@@ -147,47 +118,14 @@ impl Dense {
         input.affine_into(&self.weights, &self.bias, self.relu, out);
     }
 
-    /// Backward pass with SGD-momentum (kept as the common fast path).
-    /// See [`Self::backward_with`] for pluggable update rules.
-    pub fn backward(
-        &mut self,
-        cache: &DenseCache,
-        grad_out: Matrix,
-        lr: f32,
-        momentum: f32,
-    ) -> Matrix {
-        self.backward_with(cache, grad_out, Update::SgdMomentum { lr, momentum })
-    }
-
-    /// Backward pass: consumes the gradient w.r.t. this layer's output,
-    /// applies the given update rule, and returns the gradient w.r.t.
-    /// the input. The gradient is averaged over the batch.
-    pub fn backward_with(
-        &mut self,
-        cache: &DenseCache,
-        mut grad_out: Matrix,
-        update: Update,
-    ) -> Matrix {
-        let mut grad_in = Matrix::default();
-        let mut scratch = GradScratch::default();
-        self.backward_scratch(
-            &cache.input,
-            &cache.pre,
-            &mut grad_out,
-            update,
-            Some(&mut grad_in),
-            &mut scratch,
-        );
-        grad_in
-    }
-
-    /// Allocation-free backward pass. `input`/`pre` are the forward
-    /// activations (what a [`DenseCache`] holds), `grad_out` is the
-    /// gradient w.r.t. this layer's output (mutated in place by the
-    /// ReLU mask), `grad_in` receives the gradient w.r.t. the input,
-    /// and `scratch` holds the reusable parameter-gradient buffers.
-    /// Arithmetic and update order match [`Self::backward_with`]
-    /// exactly, so results are bit-identical.
+    /// Backward pass: applies the given update rule to this layer's
+    /// parameters, with the gradient averaged over the batch.
+    /// `input`/`pre` are the layer input and pre-activation that
+    /// [`Self::forward_into`] saw, `grad_out` is the gradient w.r.t.
+    /// this layer's output (mutated in place by the ReLU mask),
+    /// `grad_in` receives the gradient w.r.t. the input, and `scratch`
+    /// holds the reusable parameter-gradient buffers, so the pass is
+    /// allocation-free in steady state.
     ///
     /// Pass `grad_in: None` when no upstream layer reads the input
     /// gradient (the first layer of a network, whose input is the raw
@@ -293,22 +231,6 @@ impl Dense {
             }
         }
     }
-
-    /// Flattens the parameters into `out` (used by parameter averaging).
-    pub fn append_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.weights.data());
-        out.extend_from_slice(&self.bias);
-    }
-
-    /// Loads parameters from a flat slice, returning how many were read.
-    pub fn load_params(&mut self, params: &[f32]) -> usize {
-        let w = self.weights.data_mut();
-        let nw = w.len();
-        w.copy_from_slice(&params[..nw]);
-        let nb = self.bias.len();
-        self.bias.copy_from_slice(&params[nw..nw + nb]);
-        nw + nb
-    }
 }
 
 #[cfg(test)]
@@ -346,11 +268,20 @@ mod tests {
         // update exposes the gradient: after update w' = w − lr·g, so
         // g ≈ (w − w')/lr. Use zero momentum.
         let mut l2 = layer.clone();
-        let (_, cache) = l2.forward(&x);
-        let ones = Matrix::from_slice(2, 2, &[1.0, 1.0, 1.0, 1.0]);
+        let (mut pre, mut out) = (Matrix::default(), Matrix::default());
+        l2.forward_into(&x, &mut pre, &mut out);
+        let mut ones = Matrix::from_slice(2, 2, &[1.0, 1.0, 1.0, 1.0]);
         let lr = 1e-4;
         let w_before = l2.weights.clone();
-        l2.backward(&cache, ones, lr, 0.0);
+        let update = Update::SgdMomentum { lr, momentum: 0.0 };
+        l2.backward_scratch(
+            &x,
+            &pre,
+            &mut ones,
+            update,
+            None,
+            &mut GradScratch::default(),
+        );
         for r in 0..2 {
             for c in 0..2 {
                 let analytic = (w_before.get(r, c) - l2.weights.get(r, c)) / lr;
@@ -373,6 +304,8 @@ mod tests {
         // Fit y = sum(x) with a single linear layer under Adam.
         let mut rng = Prng::new(5);
         let mut layer = Dense::new(3, 1, false, &mut rng);
+        let (mut pre, mut y) = (Matrix::default(), Matrix::default());
+        let mut scratch = GradScratch::default();
         let mut last = f32::INFINITY;
         for step in 0..400 {
             let x = Matrix::from_slice(
@@ -385,7 +318,7 @@ mod tests {
             let target: Vec<f32> = (0..4)
                 .map(|r| x.row(r).iter().sum::<f32>())
                 .collect();
-            let (y, cache) = layer.forward(&x);
+            layer.forward_into(&x, &mut pre, &mut y);
             let mut grad = Matrix::zeros(4, 1);
             let mut loss = 0.0;
             for (r, &tgt) in target.iter().enumerate() {
@@ -394,7 +327,7 @@ mod tests {
                 grad.set(r, 0, 2.0 * e);
             }
             last = loss;
-            layer.backward_with(&cache, grad, Update::adam(0.02));
+            layer.backward_scratch(&x, &pre, &mut grad, Update::adam(0.02), None, &mut scratch);
         }
         assert!(last < 0.01, "adam did not converge: {last}");
         // Weights near the true [1, 1, 1].
@@ -457,19 +390,5 @@ mod tests {
             assert_eq!(bits(&with.adam_v_b), bits(&without.adam_v_b));
             assert_eq!(with.steps, without.steps);
         }
-    }
-
-    #[test]
-    fn params_round_trip() {
-        let mut rng = Prng::new(3);
-        let layer = Dense::new(4, 3, true, &mut rng);
-        let mut flat = Vec::new();
-        layer.append_params(&mut flat);
-        assert_eq!(flat.len(), layer.param_count());
-        let mut other = Dense::new(4, 3, true, &mut rng);
-        let read = other.load_params(&flat);
-        assert_eq!(read, flat.len());
-        assert_eq!(other.weights.data(), layer.weights.data());
-        assert_eq!(other.bias, layer.bias);
     }
 }

@@ -153,21 +153,10 @@ impl Matrix {
         }
     }
 
-    /// `self × other`.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
     /// `self × other`, written into `out` (reshaped and zeroed in
     /// place). The i→k→j loop order keeps the inner loop a straight
     /// `axpy` over contiguous rows, which the compiler autovectorises;
-    /// per-element accumulation order is the k order, identical to
-    /// [`Self::matmul`], so results are bit-identical. Two `self` rows
+    /// per-element accumulation runs in ascending k. Two `self` rows
     /// share each pass over the `other` block, halving the B-row
     /// traffic; the per-element accumulators stay independent, so
     /// blocking changes nothing bitwise.
@@ -329,16 +318,9 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ × other` without materialising the transpose.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.t_matmul_into(other, &mut out);
-        out
-    }
-
-    /// `selfᵀ × other`, written into `out` (reshaped and zeroed in
-    /// place). Accumulation order per output element matches
-    /// [`Self::t_matmul`] exactly (row order of the operands).
+    /// `selfᵀ × other` without materialising the transpose, written into
+    /// `out` (reshaped and zeroed in place). Each output element
+    /// accumulates in the row order of the operands.
     ///
     /// # Panics
     /// Panics on row-count mismatch.
@@ -419,17 +401,10 @@ impl Matrix {
         }
     }
 
-    /// `self × otherᵀ` without materialising the transpose.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(other, &mut out);
-        out
-    }
-
-    /// `self × otherᵀ`, written into `out` (reshaped in place) — the
-    /// backward input-gradient GEMM `grad_out × Wᵀ`. Each output element
-    /// is the dot product of two rows, accumulated from `+0.0` in
-    /// ascending k exactly as in [`Self::matmul_t`]. A packed-panel
+    /// `self × otherᵀ` without materialising the transpose, written into
+    /// `out` (reshaped in place) — the backward input-gradient GEMM
+    /// `grad_out × Wᵀ`. Each output element is the dot product of two
+    /// rows, accumulated from `+0.0` in ascending k. A packed-panel
     /// loop, shared with [`Self::centered_matmul_t_into`], runs eight of
     /// them per vector lane group, so results are bit-identical to the
     /// one-at-a-time dot product.
@@ -811,7 +786,8 @@ mod tests {
     fn matmul_small() {
         let a = Matrix::from_slice(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_slice(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
+        let mut c = Matrix::default();
+        a.matmul_into(&b, &mut c);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
@@ -820,7 +796,8 @@ mod tests {
         let a = Matrix::from_slice(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_slice(2, 2, &[1.0, 0.5, -1.0, 2.0]);
         // aᵀ (3x2) × b (2x2) = 3x2
-        let c = a.t_matmul(&b);
+        let mut c = Matrix::default();
+        a.t_matmul_into(&b, &mut c);
         assert_eq!(c.rows(), 3);
         assert_eq!(c.cols(), 2);
         // check element (0,0): col0 of a · col0 of b = 1*1 + 4*(-1) = -3
@@ -828,40 +805,48 @@ mod tests {
 
         let d = Matrix::from_slice(2, 3, &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
         // a (2x3) × dᵀ (3x2) = 2x2; element (0,1) = row0(a)·row1(d) = 6*2
-        let e = a.matmul_t(&d);
+        let mut e = Matrix::default();
+        a.matmul_t_into(&d, &mut e);
         assert_eq!(e.get(0, 1), 12.0);
     }
 
     #[test]
-    fn into_variants_match_allocating_ones_and_reuse_buffers() {
+    fn into_variants_overwrite_reused_buffers() {
         let mut rng = Prng::new(17);
         let data_a: Vec<f32> = (0..4 * 5).map(|_| rng.gauss() as f32).collect();
         let data_b: Vec<f32> = (0..5 * 3).map(|_| rng.gauss() as f32).collect();
         let a = Matrix::from_slice(4, 5, &data_a);
         let b = Matrix::from_slice(5, 3, &data_b);
 
-        // Scratch buffers deliberately start with the wrong shape and
-        // stale contents; every `_into` must reshape and overwrite.
+        // A reused buffer starts with the wrong shape and stale
+        // contents; every `_into` must reshape and overwrite it, giving
+        // what a fresh buffer gets.
+        let fresh = |f: &dyn Fn(&mut Matrix)| {
+            let mut m = Matrix::default();
+            f(&mut m);
+            m
+        };
         let mut out = Matrix::from_slice(1, 2, &[9.0, 9.0]);
         a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b));
+        assert_eq!(out, fresh(&|m| a.matmul_into(&b, m)));
 
         let data_c: Vec<f32> = (0..4 * 3).map(|_| rng.gauss() as f32).collect();
         let c = Matrix::from_slice(4, 3, &data_c);
         a.t_matmul_into(&c, &mut out);
-        assert_eq!(out, a.t_matmul(&c));
+        assert_eq!(out, fresh(&|m| a.t_matmul_into(&c, m)));
 
         let data_d: Vec<f32> = (0..2 * 5).map(|_| rng.gauss() as f32).collect();
         let d = Matrix::from_slice(2, 5, &data_d);
         a.matmul_t_into(&d, &mut out);
-        assert_eq!(out, a.matmul_t(&d));
+        assert_eq!(out, fresh(&|m| a.matmul_t_into(&d, m)));
 
         // Zero entries in the left operand must not perturb results
         // (the old implementation skipped them; the branch-free one
         // multiplies through).
         let sparse = Matrix::from_slice(2, 2, &[0.0, 1.0, 0.0, 0.0]);
         let dense = Matrix::from_slice(2, 2, &[3.0, -4.0, 5.0, 6.0]);
-        assert_eq!(sparse.matmul(&dense).data(), &[5.0, 6.0, 0.0, 0.0]);
+        sparse.matmul_into(&dense, &mut out);
+        assert_eq!(out.data(), &[5.0, 6.0, 0.0, 0.0]);
     }
 
     /// The fused dense forward must bit-match the unfused three-pass

@@ -190,15 +190,6 @@ impl EarlyExitMlp {
         self.config.classes
     }
 
-    /// Total trainable parameter count.
-    pub fn param_count(&self) -> usize {
-        self.trunk
-            .iter()
-            .chain(self.heads.iter())
-            .map(Dense::param_count)
-            .sum()
-    }
-
     /// Class-probability rows at the given exit (0-based; the last exit is
     /// the "full structure").
     ///
@@ -303,45 +294,6 @@ impl EarlyExitMlp {
     /// place), for the drift data path's reusable feature matrices.
     pub fn features_into(&self, inputs: &Matrix, out: &mut Matrix) {
         self.trunk[0].infer_into(inputs, out);
-    }
-
-    /// SPINN-style confidence-gated inference \[22\]: each row exits at
-    /// the first head whose top softmax probability reaches
-    /// `confidence`, falling through to the final exit otherwise.
-    /// Returns the predicted class and the exit used per row.
-    ///
-    /// This is the *dynamic* early-exit mode of the SPINN citation; the
-    /// AdaInf scheduler instead picks a *static* exit per structure
-    /// choice (§3.3.2). Both modes share the same heads.
-    pub fn predict_adaptive(&self, inputs: &Matrix, confidence: f32) -> Vec<(usize, usize)> {
-        let n = inputs.rows();
-        let mut out: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut x = inputs.clone();
-        for exit in 0..self.num_exits() {
-            x = self.trunk[exit].infer(&x);
-            let probs = self.heads[exit].infer(&x).softmax_rows();
-            let last = exit + 1 == self.num_exits();
-            for (r, slot) in out.iter_mut().enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                let row = probs.row(r);
-                let (best, &p) = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite prob")) // simlint: allow(no-unwrap-in-lib) — softmax outputs are finite probabilities
-                    .expect("non-empty class row"); // simlint: allow(no-unwrap-in-lib) — class count is fixed and > 0
-                if p >= confidence || last {
-                    *slot = Some((best, exit));
-                }
-            }
-            if out.iter().all(Option::is_some) {
-                break;
-            }
-        }
-        out.into_iter()
-            .map(|o| o.expect("all rows exited")) // simlint: allow(no-unwrap-in-lib) — the final exit runs with `last == true`, which fills every remaining row
-            .collect()
     }
 
     /// One SGD step on a mini-batch with deep supervision: the loss is the
@@ -461,28 +413,6 @@ impl EarlyExitMlp {
         }
         loss
     }
-
-    /// Flattens all parameters (trunk then heads) into a vector.
-    pub fn flatten_params(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in self.trunk.iter().chain(self.heads.iter()) {
-            layer.append_params(&mut out);
-        }
-        out
-    }
-
-    /// Loads parameters produced by [`Self::flatten_params`] on a network
-    /// of identical shape.
-    ///
-    /// # Panics
-    /// Panics if the parameter count does not match.
-    pub fn load_params(&mut self, params: &[f32]) {
-        assert_eq!(params.len(), self.param_count(), "parameter count mismatch");
-        let mut offset = 0;
-        for layer in self.trunk.iter_mut().chain(self.heads.iter_mut()) {
-            offset += layer.load_params(&params[offset..]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -561,8 +491,11 @@ mod tests {
             let loss = net.train_batch(&batch);
             assert!(loss.is_finite(), "loss diverged");
         }
-        for p in net.flatten_params() {
-            assert!(p.is_finite(), "parameter became non-finite");
+        for layer in net.trunk.iter().chain(&net.heads) {
+            let params = layer.weights.data().iter().chain(&layer.bias);
+            for p in params {
+                assert!(p.is_finite(), "parameter became non-finite");
+            }
         }
         // Predictions still well-defined.
         let _ = net.predict(&batch.inputs, 1);
@@ -589,47 +522,6 @@ mod tests {
         let first = net.train_batch(&batch);
         let last = net.train_epochs(&batch, 40);
         assert!(last < first * 0.5, "loss {first} -> {last}");
-    }
-
-    #[test]
-    fn adaptive_inference_exits_early_when_confident() {
-        let mut rng = Prng::new(77);
-        let mut net = EarlyExitMlp::new(MlpConfig::small(8, 2), &mut rng);
-        let train = blob_batch(&mut rng, 64, 8);
-        for _ in 0..40 {
-            net.train_batch(&train);
-        }
-        let test = blob_batch(&mut rng, 128, 8);
-        // Permissive gate: most samples exit at head 0.
-        let relaxed = net.predict_adaptive(&test.inputs, 0.6);
-        let early = relaxed.iter().filter(|(_, e)| *e == 0).count();
-        assert!(early > 64, "only {early} early exits at 0.6");
-        // Strict gate: nothing clears 1.0, everything falls through.
-        let strict = net.predict_adaptive(&test.inputs, 1.01);
-        assert!(strict.iter().all(|(_, e)| *e == net.num_exits() - 1));
-        // Accuracy stays high under the permissive gate.
-        let correct = relaxed
-            .iter()
-            .zip(&test.labels)
-            .filter(|((p, _), l)| p == *l)
-            .count();
-        assert!(correct as f64 / test.labels.len() as f64 > 0.9);
-    }
-
-    #[test]
-    fn params_round_trip_preserves_predictions() {
-        let mut rng = Prng::new(9);
-        let cfg = MlpConfig::small(6, 4);
-        let mut a = EarlyExitMlp::new(cfg.clone(), &mut rng);
-        let b = EarlyExitMlp::new(cfg, &mut rng);
-        let batch = blob_batch(&mut rng, 16, 6);
-        a.train_epochs(&batch, 5);
-        let params = a.flatten_params();
-        let mut b2 = b.clone();
-        b2.load_params(&params);
-        let pa = a.predict(&batch.inputs, 1);
-        let pb = b2.predict(&batch.inputs, 1);
-        assert_eq!(pa, pb);
     }
 
     /// The scratch-based inference entry points must bit-match their
@@ -709,27 +601,6 @@ mod tests {
         };
         assert_eq!(net.train_batch(&batch), 0.0);
         assert_eq!(net.accuracy(&batch.inputs, &batch.labels, 0), 0.0);
-    }
-
-    #[test]
-    fn param_count_matches_architecture() {
-        let mut rng = Prng::new(3);
-        let net = EarlyExitMlp::new(
-            MlpConfig {
-                input_dim: 10,
-                hidden: vec![8, 6],
-                classes: 4,
-                lr: 0.1,
-                momentum: 0.9,
-                exit_weights: vec![0.5, 1.0],
-                update: None,
-            },
-            &mut rng,
-        );
-        // trunk: 10*8+8 + 8*6+6 ; heads: 8*4+4 + 6*4+4
-        let expect = (10 * 8 + 8) + (8 * 6 + 6) + (8 * 4 + 4) + (6 * 4 + 4);
-        assert_eq!(net.param_count(), expect);
-        assert_eq!(net.flatten_params().len(), expect);
     }
 
     #[test]

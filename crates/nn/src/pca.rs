@@ -34,11 +34,10 @@ pub struct Pca {
     components: Matrix,
 }
 
-/// Reusable buffers for [`Pca::fit_with_scratch`] and
-/// [`Pca::transform_into`]: the centred data copy, the covariance /
-/// deflation matrix and the power-iteration vectors. Reusing one scratch
-/// across fits and projections makes the drift-detection data path
-/// allocation-free once warm.
+/// Reusable buffers for [`Pca::fit_with_scratch`]: the centred data
+/// copy, the covariance / deflation matrix and the power-iteration
+/// vectors. Reusing one scratch across fits makes the drift-detection
+/// data path allocation-free once warm.
 #[derive(Clone, Debug, Default)]
 pub struct PcaScratch {
     /// Centred copy of the input data (`x − mean` per column).
@@ -185,52 +184,26 @@ impl Pca {
         Pca { mean, components }
     }
 
-    /// Number of components.
-    pub fn k(&self) -> usize {
-        self.components.rows()
-    }
-
-    /// The fitted principal components, one unit row per component —
-    /// the warm-start basis for a subsequent fit of closely related
-    /// data.
-    pub fn components(&self) -> &Matrix {
-        &self.components
-    }
-
-    /// Consumes the fit, returning the component matrix without a copy.
+    /// Consumes the fit, returning the component matrix — one unit row
+    /// per component, the warm-start basis for a subsequent fit of
+    /// closely related data — without a copy.
     pub fn into_components(self) -> Matrix {
         self.components
     }
 
-    /// Projects each row of `data` onto the principal components,
-    /// returning an `n × k` matrix.
-    pub fn transform(&self, data: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.transform_into(data, &mut PcaScratch::default(), &mut out);
-        out
-    }
-
-    /// [`Self::transform`] into a caller-provided output buffer. The
+    /// Projects each row of `data` onto the principal components, into
+    /// the `n × k` output buffer `out` (reshaped in place). The
     /// projection `(X − μ) · Cᵀ` runs on the fused
     /// [`Matrix::centered_matmul_t_into`] kernel — each element is
     /// centred as it enters the dot products instead of materialising a
     /// centred copy first. Per-element operation order matches the
-    /// two-pass pipeline exactly, so results are bit-identical to
-    /// [`Self::transform`]. (`scratch` is kept in the signature for the
-    /// established call sites; the fused kernel no longer touches it.)
+    /// two-pass pipeline exactly, so results are bit-identical to it.
     ///
     /// # Panics
     /// Panics on feature-dimensionality mismatch.
-    pub fn transform_into(&self, data: &Matrix, scratch: &mut PcaScratch, out: &mut Matrix) {
+    pub fn transform_into(&self, data: &Matrix, out: &mut Matrix) {
         assert_eq!(data.cols(), self.mean.len(), "dimensionality mismatch");
-        let _ = scratch;
         data.centered_matmul_t_into(&self.mean, &self.components, out);
-    }
-
-    /// Projects a single vector.
-    pub fn transform_vec(&self, v: &[f32]) -> Vec<f32> {
-        let m = Matrix::from_slice(1, v.len(), v);
-        self.transform(&m).row(0).to_vec()
     }
 }
 
@@ -271,7 +244,8 @@ mod tests {
         }
         let m = Matrix::from_slice(n, 2, &data);
         let pca = Pca::fit(&m, 1, &mut rng);
-        let projected = pca.transform(&m);
+        let mut projected = Matrix::default();
+        pca.transform_into(&m, &mut projected);
         // Projection must capture nearly all the variance.
         let total_var: f32 = {
             let means = m.col_means();
@@ -343,11 +317,12 @@ mod tests {
         let b = Pca::fit_with_scratch(&m, 3, &mut r2, &mut scratch);
         assert_eq!(a.components.data(), b.components.data());
         assert_eq!(a.mean, b.mean);
-        // transform_into with a dirty, reused scratch bit-matches
-        // transform.
-        let expect = a.transform(&m);
+        // transform_into with a dirty, reused output buffer bit-matches
+        // a fresh one.
+        let mut expect = Matrix::default();
+        a.transform_into(&m, &mut expect);
         let mut out = Matrix::from_slice(1, 1, &[7.0]);
-        b.transform_into(&m, &mut scratch, &mut out);
+        b.transform_into(&m, &mut out);
         assert_eq!(out, expect);
     }
 
@@ -376,13 +351,8 @@ mod tests {
             let cold = Pca::fit_with_scratch(&m2, k, &mut r1, &mut scratch);
             let prev = Pca::fit(&m, k, &mut Prng::new(seed ^ 0xABCD));
             let mut r2 = Prng::new(seed ^ 0xABCD);
-            let warm = Pca::fit_warm_with_scratch(
-                &m2,
-                k,
-                &mut r2,
-                &mut scratch,
-                Some(prev.components()),
-            );
+            let warm =
+                Pca::fit_warm_with_scratch(&m2, k, &mut r2, &mut scratch, Some(&prev.components));
 
             // Orthonormality.
             for i in 0..k {
@@ -401,7 +371,8 @@ mod tests {
             // Variance capture: projected variance of the warm fit within
             // 1 % of the cold fit's.
             let var_of = |p: &Pca| -> f32 {
-                let proj = p.transform(&m2);
+                let mut proj = Matrix::default();
+                p.transform_into(&m2, &mut proj);
                 let mut acc = 0.0;
                 for c in 0..proj.cols() {
                     let mean: f32 =
@@ -461,7 +432,7 @@ mod tests {
             3,
             &mut Prng::new(9),
             &mut PcaScratch::default(),
-            Some(first.components()),
+            Some(&first.components),
         );
         for i in 0..3 {
             let dot: f32 = first
@@ -480,7 +451,9 @@ mod tests {
         let mut rng = Prng::new(7);
         let m = Matrix::from_slice(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let pca = Pca::fit(&m, 10, &mut rng);
-        assert_eq!(pca.k(), 2);
-        assert_eq!(pca.transform_vec(&[1.0, 2.0]).len(), 2);
+        assert_eq!(pca.components.rows(), 2);
+        let mut projected = Matrix::default();
+        pca.transform_into(&Matrix::from_slice(1, 2, &[1.0, 2.0]), &mut projected);
+        assert_eq!(projected.cols(), 2);
     }
 }

@@ -74,8 +74,11 @@ proptest! {
         let mut out = Matrix::zeros(0, 0);
         a.matmul_into(&b, &mut out);
         assert_bit_identical("matmul_into", &out, &want)?;
-        // The allocating form must agree with its _into twin.
-        assert_bit_identical("matmul", &a.matmul(&b), &want)?;
+        // A reused buffer of the wrong shape and stale contents must
+        // come out the same.
+        let mut reused = Matrix::from_slice(1, 1, &[f32::NAN]);
+        a.matmul_into(&b, &mut reused);
+        assert_bit_identical("matmul_into (reused)", &reused, &want)?;
     }
 
     fn t_matmul_into_matches_reference(

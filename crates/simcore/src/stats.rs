@@ -59,11 +59,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -223,16 +218,6 @@ impl Cdf {
         self.samples[idx]
     }
 
-    /// Fraction of samples `<= x`; 0.0 when empty.
-    pub fn fraction_below(&mut self, x: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let n = self.samples.partition_point(|s| *s <= x);
-        n as f64 / self.samples.len() as f64
-    }
-
     /// Emits `(value, cumulative_fraction)` points suitable for plotting,
     /// down-sampled to at most `max_points`.
     pub fn points(&mut self, max_points: usize) -> Vec<(f64, f64)> {
@@ -327,7 +312,6 @@ mod tests {
         assert_eq!(c.min(), 1.0);
         assert_eq!(c.max(), 100.0);
         assert!((c.quantile(0.5) - 50.0).abs() <= 1.0);
-        assert!((c.fraction_below(25.0) - 0.25).abs() < 0.02);
         let pts = c.points(10);
         assert!(pts.len() <= 11);
         assert_eq!(pts.last().unwrap().1, 1.0);
@@ -342,7 +326,6 @@ mod tests {
         let mut c = Cdf::new();
         assert!(c.is_empty());
         assert_eq!(c.quantile(0.5), 0.0);
-        assert_eq!(c.fraction_below(1.0), 0.0);
         assert!(c.points(5).is_empty());
     }
 }

@@ -9,8 +9,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-/// One microsecond, the base tick of the simulation.
-pub const MICROSECOND: u64 = 1;
 /// Microseconds per millisecond.
 pub const MILLISECOND: u64 = 1_000;
 /// Microseconds per second.
@@ -20,8 +18,6 @@ pub const SECOND: u64 = 1_000_000;
 pub const PERIOD: SimDuration = SimDuration::from_secs(50);
 /// Length of one scheduling time session (§3.1): 5 ms.
 pub const SESSION: SimDuration = SimDuration::from_millis(5);
-/// Scheduling lead time (§3.1): at `τ` AdaInf schedules `[τ+2, τ+7) ms`.
-pub const SCHED_LEAD: SimDuration = SimDuration::from_millis(2);
 
 /// An instant on the simulated clock (microseconds since simulation start).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -71,19 +67,9 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Index of the retraining period containing this instant.
-    pub fn period_index(self) -> u64 {
-        self.0 / PERIOD.0
-    }
-
     /// Index of the scheduling session containing this instant.
     pub fn session_index(self) -> u64 {
         self.0 / SESSION.0
-    }
-
-    /// Start of the retraining period containing this instant.
-    pub fn period_start(self) -> SimTime {
-        SimTime(self.period_index() * PERIOD.0)
     }
 }
 
@@ -247,14 +233,10 @@ mod tests {
     fn constants_match_paper() {
         assert_eq!(PERIOD.as_secs_f64(), 50.0);
         assert_eq!(SESSION.as_millis_f64(), 5.0);
-        assert_eq!(SCHED_LEAD.as_millis_f64(), 2.0);
     }
 
     #[test]
-    fn period_and_session_indexing() {
-        let t = SimTime::from_secs(125);
-        assert_eq!(t.period_index(), 2);
-        assert_eq!(t.period_start(), SimTime::from_secs(100));
+    fn session_indexing() {
         assert_eq!(SimTime::from_millis(14).session_index(), 2);
         assert_eq!(SimTime::ZERO.session_index(), 0);
     }

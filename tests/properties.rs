@@ -195,8 +195,9 @@ proptest! {
         let data_b: Vec<f32> = (0..rows * cols).map(|_| rng.gauss() as f32).collect();
         let a = Matrix::from_slice(rows, cols, &data_a);
         let b = Matrix::from_slice(rows, cols, &data_b);
-        // aᵀ·b via t_matmul (cols × cols)
-        let tm = a.t_matmul(&b);
+        // aᵀ·b via t_matmul_into (cols × cols)
+        let mut tm = Matrix::default();
+        a.t_matmul_into(&b, &mut tm);
         for i in 0..cols {
             for j in 0..cols {
                 let mut dot = 0.0f32;
@@ -206,8 +207,9 @@ proptest! {
                 prop_assert!((tm.get(i, j) - dot).abs() < 1e-3);
             }
         }
-        // a·bᵀ via matmul_t (rows × rows)
-        let mt = a.matmul_t(&b);
+        // a·bᵀ via matmul_t_into (rows × rows)
+        let mut mt = Matrix::default();
+        a.matmul_t_into(&b, &mut mt);
         for i in 0..rows {
             for j in 0..rows {
                 let mut dot = 0.0f32;
