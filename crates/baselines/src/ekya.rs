@@ -25,7 +25,6 @@ use adainf_gpusim::{EvictionPolicyKind, ExecMode, GpuSpec};
 use adainf_simcore::time::{PERIOD, SESSION};
 use adainf_simcore::{SimDuration, SimTime};
 use std::sync::Arc;
-use adainf_simcore::walltime::WallTimer;
 
 /// Resource quantum the heuristic moves per step (fraction of the
 /// application's share).
@@ -172,7 +171,6 @@ impl Scheduler for EkyaScheduler {
         server: &GpuSpec,
         now: SimTime,
     ) -> PeriodPlan {
-        let wall = WallTimer::start();
         let share = server.total_space() / apps.len() as f64;
         let mut bulk = Vec::new();
 
@@ -232,8 +230,8 @@ impl Scheduler for EkyaScheduler {
         PeriodPlan {
             apps: vec![AppPeriodPlan::default(); apps.len()],
             bulk,
-            overhead: SimDuration::from_millis_f64(wall.elapsed_ms()),
             edge_cloud_bytes: 0,
+            drift: None,
         }
     }
 

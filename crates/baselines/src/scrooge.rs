@@ -23,7 +23,6 @@ use adainf_gpusim::{EvictionPolicyKind, ExecMode, GpuSpec};
 use adainf_simcore::time::SESSION;
 use adainf_simcore::{SimDuration, SimTime};
 use std::sync::Arc;
-use adainf_simcore::walltime::WallTimer;
 
 /// Bytes shipped per retraining sample (a video frame plus metadata) —
 /// calibrated so the default 8-application deployment transfers ≈ 85.7 GB
@@ -102,7 +101,6 @@ impl Scheduler for ScroogeScheduler {
         _server: &GpuSpec,
         now: SimTime,
     ) -> PeriodPlan {
-        let wall = WallTimer::start();
         // Ship every pool to the cloud; updated models come back after
         // upload + cloud training + download.
         let mut bytes_up = 0u64;
@@ -135,8 +133,8 @@ impl Scheduler for ScroogeScheduler {
         PeriodPlan {
             apps: vec![AppPeriodPlan::default(); apps.len()],
             bulk,
-            overhead: SimDuration::from_millis_f64(wall.elapsed_ms()),
             edge_cloud_bytes: total_bytes,
+            drift: None,
         }
     }
 

@@ -44,7 +44,9 @@ pub struct AdaInfConfig {
     /// (`predicted_latency_mae_us`, `headroom_violation_rate`) are only
     /// collected when this is on. Turning it on does not perturb
     /// fault-free behaviour — admission still only runs inside fault
-    /// windows — so pristine runs stay bit-identical either way.
+    /// windows — so pristine runs stay bit-identical either way. The
+    /// harness's admission loop owns the predictor; the scheduler's
+    /// decisions never read it.
     pub predicted_latency: bool,
     /// Observations each app's latency model needs before its forecasts
     /// are used; below this the admission path falls back to the

@@ -29,7 +29,6 @@ use adainf_nn::metrics::cosine_distance;
 use adainf_nn::pca::{Pca, PcaScratch};
 use adainf_nn::{InferScratch, Matrix};
 use adainf_simcore::Prng;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Stream label base for the per-`(period, node)` PCA child streams.
@@ -236,11 +235,11 @@ pub struct DetectScratch {
 
 /// The exact inputs one node's artifact build reads, factored out of
 /// [`AppRuntime`] so the same build code runs against two sources:
-/// live runtime borrows (a lookup that misses, [`DriftCache::artifacts`])
-/// and owned boundary snapshots (the background stage,
-/// [`DriftSnapshot`]). A build is a pure function of these five values
-/// plus the warm/carry state and the root stream — the equality that
-/// makes a background-built entry bit-identical to one built on lookup.
+/// live runtime borrows (the uncached [`build_artifacts`]) and owned
+/// snapshots (every cache build, [`DriftSnapshot`]). A build is a pure
+/// function of these five values plus the warm/carry state and the root
+/// stream — the equality that makes a cached entry bit-identical to a
+/// fresh build.
 pub struct DriftInputs<'a> {
     /// Previous period's training pool — the distribution deviated from.
     pub old: &'a LabeledSamples,
@@ -255,7 +254,7 @@ pub struct DriftInputs<'a> {
 }
 
 impl<'a> DriftInputs<'a> {
-    /// The live-borrow view of `(rt, node)` — what a lookup-time build
+    /// The live-borrow view of `(rt, node)` — what an uncached build
     /// reads directly out of the runtime.
     pub fn from_runtime(rt: &'a AppRuntime, node: usize) -> Self {
         DriftInputs {
@@ -481,9 +480,10 @@ pub fn build_artifacts(
     artifacts
 }
 
-/// An owned boundary snapshot of everything one stale `(app, node)`
-/// artifact build reads — the unit of work handed to the background
-/// stage by [`DriftCache::snapshot_stale`]. Owning clones (rather than
+/// An owned snapshot of everything one stale `(app, node)` artifact
+/// build reads — the unit of work of every cache build: the background
+/// stage gets them from [`DriftCache::snapshot_stale`], and a lookup
+/// that misses builds one on the caller. Owning clones (rather than
 /// borrowing the runtime) is what lets the build run on a worker while
 /// the caller goes on mutating the runtime (the accuracy refresh, the
 /// detection sweep's pool reorders): the snapshot's inputs are frozen
@@ -519,10 +519,9 @@ pub struct BuiltArtifacts {
 }
 
 impl DriftSnapshot {
-    /// Runs the artifact build against the snapshotted inputs —
-    /// bit-identical to [`DriftCache::artifacts`] building the same key
-    /// on a miss, because the build reads exactly the [`DriftInputs`]
-    /// values and both paths feed it the same ones.
+    /// Runs the artifact build against the snapshotted inputs — the
+    /// same build on a worker or on the caller, because it reads only
+    /// the [`DriftInputs`] values the snapshot pinned.
     pub fn build(self, pca_components: usize, scratch: &mut DetectScratch) -> BuiltArtifacts {
         let inputs = DriftInputs {
             old: &self.old,
@@ -616,8 +615,10 @@ pub struct DriftCache {
     entries: BTreeMap<(usize, usize), CacheEntry>,
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that rebuilt the artifacts.
+    /// Artifact sets built, on a lookup or in the background stage.
     pub misses: u64,
+    /// The subset of `misses` a lookup built on the caller's thread.
+    pub lookup_builds: u64,
     /// Rebuilds that warm-started their PCA fit from a previous basis.
     pub warm_starts: u64,
     scratch: DetectScratch,
@@ -631,7 +632,8 @@ impl DriftCache {
 
     /// The artifacts of `(app, node)` for the runtime's current period
     /// and model version, building them on the caller's thread on a
-    /// miss.
+    /// miss — through the same snapshot → [`DriftSnapshot::build`] →
+    /// [`Self::insert_built`] path the background stage takes.
     pub fn artifacts(
         &mut self,
         app: usize,
@@ -640,45 +642,50 @@ impl DriftCache {
         pca_components: usize,
         root: &Prng,
     ) -> &DriftArtifacts {
-        let key = (rt.period(), rt.models[node].version());
-        let inputs = DriftInputs::from_runtime(rt, node);
-        let scratch = &mut self.scratch;
-        match self.entries.entry((app, node)) {
-            Entry::Occupied(mut e) => {
-                if e.get().key == key {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                    let warm = e.get().warm_for(key);
-                    self.warm_starts += u64::from(warm.is_some());
-                    let carry = e.get_mut().take_carry(key);
-                    let artifacts = build_ranked(
-                        &inputs,
-                        node,
-                        pca_components,
-                        root,
-                        scratch,
-                        warm.as_ref(),
-                        carry,
-                    );
-                    *e.get_mut() = CacheEntry { key, artifacts };
-                }
-                &e.into_mut().artifacts
-            }
-            Entry::Vacant(v) => {
-                self.misses += 1;
-                let artifacts = build_ranked(
-                    &inputs,
-                    node,
-                    pca_components,
-                    root,
-                    scratch,
-                    None,
-                    Matrix::default(),
-                );
-                &v.insert(CacheEntry { key, artifacts }).artifacts
+        match self.snapshot(app, node, rt, root) {
+            None => self.hits += 1,
+            Some(snap) => {
+                self.lookup_builds += 1;
+                let built = snap.build(pca_components, &mut self.scratch);
+                self.insert_built(built);
             }
         }
+        &self.entries[&(app, node)].artifacts
+    }
+
+    /// An owned [`DriftSnapshot`] of `(app, node)` at the runtime's
+    /// current `(pool generation, model version)` key, or `None` when
+    /// the cached entry is already current. The warm/carry state is
+    /// taken from the slot's evicted entry, so the slot must be
+    /// refilled through [`Self::insert_built`] before its next lookup.
+    fn snapshot(
+        &mut self,
+        app: usize,
+        node: usize,
+        rt: &AppRuntime,
+        root: &Prng,
+    ) -> Option<DriftSnapshot> {
+        let key = (rt.period(), rt.models[node].version());
+        let prior = self.entries.get_mut(&(app, node));
+        if prior.as_ref().is_some_and(|e| e.key == key) {
+            return None;
+        }
+        let (warm, carry) = match prior {
+            Some(e) => (e.warm_for(key), e.take_carry(key)),
+            None => (None, Matrix::default()),
+        };
+        Some(DriftSnapshot {
+            slot: (app, node),
+            key,
+            period: rt.period(),
+            old: rt.old_samples(node).clone(),
+            pool: rt.pools[node].samples().clone(),
+            held_out: rt.ref_samples(node).clone(),
+            model: rt.models[node].clone(),
+            warm,
+            carry,
+            root: root.clone(),
+        })
     }
 
     /// Resolves the stale subset of `jobs` into **owned**
@@ -709,33 +716,9 @@ impl DriftCache {
         apps: &[AppRuntime],
         root: &Prng,
     ) -> Vec<DriftSnapshot> {
-        let mut stale = Vec::new();
-        for &(app, node) in jobs {
-            let rt = &apps[app];
-            let key = (rt.period(), rt.models[node].version());
-            match self.entries.get_mut(&(app, node)) {
-                Some(e) if e.key == key => {}
-                prior => {
-                    let (warm, carry) = match prior {
-                        Some(e) => (e.warm_for(key), e.take_carry(key)),
-                        None => (None, Matrix::default()),
-                    };
-                    stale.push(DriftSnapshot {
-                        slot: (app, node),
-                        key,
-                        period: rt.period(),
-                        old: rt.old_samples(node).clone(),
-                        pool: rt.pools[node].samples().clone(),
-                        held_out: rt.ref_samples(node).clone(),
-                        model: rt.models[node].clone(),
-                        warm,
-                        carry,
-                        root: root.clone(),
-                    });
-                }
-            }
-        }
-        stale
+        jobs.iter()
+            .filter_map(|&(app, node)| self.snapshot(app, node, &apps[app], root))
+            .collect()
     }
 
     /// Installs one background-built result, bumping the same counters

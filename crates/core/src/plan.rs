@@ -1,6 +1,7 @@
 //! The scheduler interface shared by AdaInf and every baseline.
 //!
-//! The harness drives a scheduler through two hooks:
+//! A scheduler only decides; the harness measures. The harness drives a
+//! scheduler through two hooks and times both:
 //!
 //! * [`Scheduler::on_period_start`] — once per 50 s retraining period,
 //!   with mutable access to the application runtimes (drift detection
@@ -12,8 +13,10 @@
 //!   predicted per-application request counts. Returns one [`JobPlan`]
 //!   per application job: GPU fraction, request batch size, per-model
 //!   structure cuts and retraining slices.
+//!
+//! Host time only the scheduler can see — its drift stage's background
+//! builds — comes back on the plan as a [`DriftStageReport`].
 
-use crate::predict::{LatencyFeatures, PredictedLatency};
 use adainf_apps::AppRuntime;
 use adainf_gpusim::{EvictionPolicyKind, ExecMode, GpuSpec};
 use adainf_simcore::{SimDuration, SimTime};
@@ -111,12 +114,33 @@ pub struct PeriodPlan {
     pub apps: Vec<AppPeriodPlan>,
     /// Bulk/cloud retraining tasks.
     pub bulk: Vec<BulkRetrain>,
-    /// CPU time this planning step took (Table 1, "Periodical DAG
-    /// update" / "Scheduling" columns). Runs on the CPU and does not
-    /// block job execution (§5.1).
-    pub overhead: SimDuration,
     /// Bytes shipped between edge and cloud by this plan (Scrooge).
     pub edge_cloud_bytes: u64,
+    /// What this boundary's drift stage did, for schedulers that run one
+    /// (AdaInf); `None` otherwise.
+    pub drift: Option<DriftStageReport>,
+}
+
+/// Host time and work of one boundary's drift stage — the part of the
+/// period hook only the scheduler can see, since its background builds
+/// run off the caller's thread. The harness times the hook itself and
+/// accumulates these reports into the run's metrics.
+#[derive(Clone, Copy, Debug)]
+pub struct DriftStageReport {
+    /// Host nanoseconds of drift work: caller-thread compute plus
+    /// background-worker build time, excluding join waits.
+    pub work_ns: u64,
+    /// Host nanoseconds the caller was inside the drift stage, waits
+    /// included — the part of the work that blocked serving.
+    pub blocked_ns: u64,
+    /// Resolved worker-thread count of the background builds (0 when no
+    /// artifact was stale).
+    pub worker_threads: usize,
+    /// Drift artifact builds: the background builds plus any a lookup
+    /// made on the caller's thread.
+    pub builds: u64,
+    /// Builds that warm-started their PCA fit from the previous basis.
+    pub warm_starts: u64,
 }
 
 /// Read-only context for session scheduling.
@@ -161,73 +185,6 @@ pub trait Scheduler {
     /// numbers.
     fn cache_stats(&self) -> (u64, u64, u64) {
         (0, 0, 0)
-    }
-
-    /// Wall-clock nanoseconds the scheduler spent in drift detection and
-    /// retraining-order selection across the run, if it tracks them.
-    fn drift_overhead_ns(&self) -> u128 {
-        0
-    }
-
-    /// Wall-clock nanoseconds of drift work per period boundary, in
-    /// period order, if tracked — the per-sample view behind the p99
-    /// drift latency the harness reports.
-    fn drift_period_ns(&self) -> &[u64] {
-        &[]
-    }
-
-    /// Wall-clock nanoseconds the serving loop actually *stalled* on
-    /// drift work — the drift critical path. For inline schedulers this
-    /// equals [`Self::drift_overhead_ns`]; overlapped schedulers report
-    /// only snapshot/spawn/sweep time plus join waits, excluding the
-    /// background builds that ran concurrently with serving.
-    fn drift_blocked_ns(&self) -> u128 {
-        0
-    }
-
-    /// Largest resolved worker-thread count the scheduler's parallel
-    /// fan-outs actually ran with (after the ambient
-    /// `available_parallelism` fallback), or `None` if this scheduler
-    /// has no worker pool at all. Bench rows record it so results
-    /// document their host parallelism, and omit the column for
-    /// pool-less schedulers instead of printing a misleading 0.
-    fn worker_threads(&self) -> Option<usize> {
-        None
-    }
-
-    /// Whether this scheduler runs an online latency predictor (see
-    /// [`crate::predict`]). When `false` — the default — the harness
-    /// builds no feature vectors and makes no predictor calls, so runs
-    /// stay bit-identical to builds without the machinery.
-    fn predictor_enabled(&self) -> bool {
-        false
-    }
-
-    /// Forecasts the latency of one job shape from the scheduler's
-    /// online model, or `None` when the scheduler has no predictor or
-    /// the app's model is still warming up (callers then fall back to
-    /// their analytic inputs).
-    fn predict_latency(
-        &self,
-        app: usize,
-        feats: &LatencyFeatures,
-    ) -> Option<PredictedLatency> {
-        let _ = (app, feats);
-        None
-    }
-
-    /// Streams one completed job's observed latency split
-    /// (`per_batch_us` service time of a full batch, `fixed_us`
-    /// pre-batch overhead) into the scheduler's online model. No-op for
-    /// schedulers without a predictor.
-    fn observe_latency(
-        &mut self,
-        app: usize,
-        feats: &LatencyFeatures,
-        per_batch_us: f64,
-        fixed_us: f64,
-    ) {
-        let _ = (app, feats, per_batch_us, fixed_us);
     }
 }
 

@@ -7,19 +7,18 @@
 //! (§3.3.1) and divide each job's SLO time between inference and
 //! retraining (§3.3.2), emitting one [`JobPlan`] per job.
 //!
-//! The period-boundary overhead is measured with wall-clock timers and
-//! reported in the period plan; the harness times every `on_session`
-//! call into `RunMetrics::sched_overhead` (Table 1 — the paper's AdaInf
-//! takes ~4.2 s for the periodical DAG update and ~2 ms per scheduling
-//! round).
+//! The harness times both hooks (Table 1 — the paper's AdaInf takes
+//! ~4.2 s for the periodical DAG update and ~2 ms per scheduling round).
+//! The scheduler times only its drift stage, whose background builds the
+//! harness cannot see, and returns that on the plan as a
+//! [`DriftStageReport`].
 
 use crate::cache::DecisionCache;
 use crate::config::AdaInfConfig;
 use crate::drift_cache::{BuiltArtifacts, DetectScratch, DriftCache, DriftSnapshot};
 use crate::drift_detect::{detect_drift_cached, DriftReport};
 use crate::incremental::RetrainProgress;
-use crate::plan::{AppPeriodPlan, JobPlan, PeriodPlan, Scheduler, SessionCtx};
-use crate::predict::{LatencyFeatures, LatencyPredictor, PredictedLatency};
+use crate::plan::{AppPeriodPlan, DriftStageReport, JobPlan, PeriodPlan, Scheduler, SessionCtx};
 use crate::profiler::Profiler;
 use crate::ridag::RiDag;
 use crate::space::{divide_space, divide_space_joint, JobDemand};
@@ -27,7 +26,7 @@ use crate::timealloc::{clamp_slices, plan_time, select_structures, strategies};
 use adainf_apps::{AppRuntime, AppSpec};
 use adainf_simcore::parallel;
 use adainf_simcore::walltime::WallTimer;
-use adainf_simcore::{Prng, SimDuration, SimTime};
+use adainf_simcore::{Prng, SimTime};
 use std::sync::Arc;
 
 /// Per-application scheduling state snapshotted at the period boundary.
@@ -61,31 +60,12 @@ pub struct AdaInfScheduler {
     /// Live incremental-retraining progress (planned slices; the harness
     /// holds ground truth for actually consumed samples).
     pub progress: RetrainProgress,
-    /// Cumulative wall-clock of period-boundary drift **work** —
-    /// caller-thread compute plus background-worker build time.
-    drift_wall_ns: u128,
-    /// The same drift work wall-clock, per period boundary in period
-    /// order — the distribution behind the harness's p99 drift latency.
-    drift_period_ns: Vec<u64>,
-    /// Cumulative wall-clock the serving loop was actually **stalled**
-    /// by drift work — the critical path: snapshot + spawn, the
-    /// detection sweep's own compute, and time blocked joining
-    /// background builds. The gap to `drift_wall_ns` is the work the
-    /// overlap hid.
-    drift_blocked_ns: u128,
     /// Exact memoisation of the per-session searches (see [`crate::cache`]).
     cache: DecisionCache,
     /// Per-period drift artifact cache (see [`crate::drift_cache`]):
     /// detection and retraining-order selection share one feature/PCA/
     /// ranking computation per `(app, node, period, model version)`.
     drift: DriftCache,
-    /// Largest resolved worker-thread count of any background drift
-    /// stage this run (0 when no build was stale). Bench rows record it so
-    /// results document the host parallelism they were measured under.
-    worker_threads: usize,
-    /// Online per-app latency predictor (see [`crate::predict`]), built
-    /// only when [`AdaInfConfig::predicted_latency`] is on.
-    predictor: Option<LatencyPredictor>,
 }
 
 impl AdaInfScheduler {
@@ -99,9 +79,6 @@ impl AdaInfScheduler {
     ) -> Self {
         let specs = specs.into();
         let n = specs.len();
-        let predictor = config
-            .predicted_latency
-            .then(|| LatencyPredictor::new(n, config.predictor_warmup as u64));
         AdaInfScheduler {
             config,
             profiler: profiler.into(),
@@ -111,13 +88,8 @@ impl AdaInfScheduler {
             states: vec![AppState::default(); n],
             last_reports: Vec::new(),
             progress: RetrainProgress::new(),
-            drift_wall_ns: 0,
-            drift_period_ns: Vec::new(),
-            drift_blocked_ns: 0,
             cache: DecisionCache::default(),
             drift: DriftCache::new(),
-            worker_threads: 0,
-            predictor,
         }
     }
 
@@ -185,66 +157,25 @@ impl Scheduler for AdaInfScheduler {
         (self.cache.hits, self.cache.misses, self.cache.evictions)
     }
 
-    fn drift_overhead_ns(&self) -> u128 {
-        self.drift_wall_ns
-    }
-
-    fn drift_period_ns(&self) -> &[u64] {
-        &self.drift_period_ns
-    }
-
-    fn drift_blocked_ns(&self) -> u128 {
-        self.drift_blocked_ns
-    }
-
-    fn worker_threads(&self) -> Option<usize> {
-        (self.worker_threads > 0).then_some(self.worker_threads)
-    }
-
-    fn predictor_enabled(&self) -> bool {
-        self.predictor.is_some()
-    }
-
-    fn predict_latency(
-        &self,
-        app: usize,
-        feats: &LatencyFeatures,
-    ) -> Option<PredictedLatency> {
-        self.predictor.as_ref()?.predict(app, feats)
-    }
-
-    fn observe_latency(
-        &mut self,
-        app: usize,
-        feats: &LatencyFeatures,
-        per_batch_us: f64,
-        fixed_us: f64,
-    ) {
-        if let Some(p) = self.predictor.as_mut() {
-            p.observe(app, feats, per_batch_us, fixed_us);
-        }
-    }
-
     fn on_period_start(
         &mut self,
         apps: &mut [AppRuntime],
         _server: &adainf_gpusim::GpuSpec,
         _now: SimTime,
     ) -> PeriodPlan {
-        let wall = WallTimer::start();
         self.last_reports.clear();
 
         // Three drift wall-clock components, accumulated separately so
-        // the metrics can tell total *work* apart from the serving
+        // the report can tell total *work* apart from the serving
         // loop's *stall*:
-        //   caller  — time this thread spent inside the drift sections
-        //             (snapshot + spawn + the sweep, waits included);
-        //   built   — background workers' build time;
-        //   blocked — the subset of `caller` spent waiting on joins.
-        // Total work = caller − blocked + built; critical path = caller.
+        //   caller — time this thread spent inside the drift sections
+        //            (snapshot + spawn + the sweep, waits included);
+        //   built  — background workers' build time;
+        //   waited — the subset of `caller` spent waiting on joins.
+        // Total work = caller − waited + built; critical path = caller.
         let mut drift_caller_ns: u128 = 0;
         let mut drift_built_ns: u128 = 0;
-        let mut drift_blocked_ns: u128 = 0;
+        let mut drift_waited_ns: u128 = 0;
 
         // Stage 1: snapshot the stale artifact inputs at their (pool
         // generation, model version) keys. The job set mirrors exactly
@@ -252,14 +183,14 @@ impl Scheduler for AdaInfScheduler {
         // detection, and only the frozen RI-DAG's retraining nodes
         // otherwise — so the sweep finds every artifact already built.
         let seg = WallTimer::start();
-        let misses_before = self.drift.misses;
+        let lookup_builds_before = self.drift.lookup_builds;
+        let warm_starts_before = self.drift.warm_starts;
         let snaps = {
             let AdaInfScheduler {
                 config,
                 rng,
                 states,
                 drift,
-                worker_threads,
                 ..
             } = &mut *self;
             let mut jobs: Vec<(usize, usize)> = Vec::new();
@@ -271,12 +202,7 @@ impl Scheduler for AdaInfScheduler {
                     }
                 }
             }
-            let snaps = drift.snapshot_stale(&jobs, apps, rng);
-            if !snaps.is_empty() {
-                *worker_threads = (*worker_threads)
-                    .max(parallel::resolved_threads(snaps.len(), config.drift_workers));
-            }
-            snaps
+            drift.snapshot_stale(&jobs, apps, rng)
         };
         let slots: Vec<(usize, usize)> = snaps.iter().map(|s| s.slot).collect();
         let pca_components = self.config.pca_components;
@@ -317,7 +243,7 @@ impl Scheduler for AdaInfScheduler {
                     while next_slot < slots.len() && slots[next_slot].0 == a {
                         let waited = WallTimer::start();
                         let (built, build_ns): (BuiltArtifacts, u64) = stage.take(next_slot);
-                        drift_blocked_ns += waited.elapsed_nanos();
+                        drift_waited_ns += waited.elapsed_nanos();
                         drift_built_ns += u128::from(build_ns);
                         drift.insert_built(built);
                         next_slot += 1;
@@ -356,28 +282,31 @@ impl Scheduler for AdaInfScheduler {
                     drift_built_ns += u128::from(build_ns);
                     drift.insert_built(built);
                 }
-                drift_blocked_ns += waited.elapsed_nanos();
+                drift_waited_ns += waited.elapsed_nanos();
                 sweep
             },
         );
         drift_caller_ns += sweep.elapsed_nanos();
+        // Every artifact the sweep read should come from the background
+        // stage; a lookup that missed built serially on this thread (a
+        // job-set/sweep mismatch or a dropped insert), which the build
+        // count below exposes to the goldens.
+        let lookup_builds = self.drift.lookup_builds - lookup_builds_before;
         if cfg!(feature = "strict-invariants") {
-            // Conservation: every artifact the sweep read came from the
-            // background stage. A lookup that missed was built serially
-            // on this thread — a job-set/sweep mismatch no golden would
-            // notice.
-            let built = self.drift.misses - misses_before;
             assert!(
-                built == slots.len() as u64,
-                "strict-invariants: drift cache built {built} artifact set(s) this period, \
-                 but the background stage joined {}: the sweep built the rest on the caller",
+                lookup_builds == 0,
+                "strict-invariants: the sweep built {lookup_builds} drift artifact set(s) \
+                 on the caller besides the {} the background stage joined",
                 slots.len()
             );
         }
-        self.drift_wall_ns += drift_caller_ns - drift_blocked_ns + drift_built_ns;
-        self.drift_period_ns
-            .push((drift_caller_ns - drift_blocked_ns + drift_built_ns) as u64);
-        self.drift_blocked_ns += drift_caller_ns;
+        let drift = DriftStageReport {
+            work_ns: (drift_caller_ns - drift_waited_ns + drift_built_ns) as u64,
+            blocked_ns: drift_caller_ns as u64,
+            worker_threads: parallel::resolved_threads(slots.len(), self.config.drift_workers),
+            builds: slots.len() as u64 + lookup_builds,
+            warm_starts: self.drift.warm_starts - warm_starts_before,
+        };
         self.select_period_structures();
         // Time plans are valid only for this period's DAGs and accuracy
         // snapshots — drop the stale ones.
@@ -411,8 +340,8 @@ impl Scheduler for AdaInfScheduler {
                 })
                 .collect(),
             bulk: Vec::new(),
-            overhead: SimDuration::from_millis_f64(wall.elapsed_ms()),
             edge_cloud_bytes: 0,
+            drift: Some(drift),
         }
     }
 
@@ -563,6 +492,7 @@ mod tests {
     use adainf_apps::catalog;
     use adainf_driftgen::workload::ArrivalConfig;
     use adainf_gpusim::GpuSpec;
+    use adainf_simcore::SimDuration;
 
     fn setup(n_apps: usize) -> (AdaInfScheduler, Vec<AppRuntime>, GpuSpec) {
         let root = Prng::new(55);

@@ -40,7 +40,8 @@ pub struct RunMetrics {
     pub allocation: Vec<f64>,
     /// Label distribution per (app, node, period) — Fig 6 JS divergence.
     pub label_distributions: Vec<Vec<Vec<Vec<f64>>>>,
-    /// Measured wall-clock of period planning (Table 1, "DAG update").
+    /// Wall-clock of each period-hook call, timed by the harness
+    /// (Table 1, "DAG update") — one sample per period boundary.
     pub period_overhead: OnlineStats,
     /// Measured wall-clock per session scheduling call (Table 1).
     pub sched_overhead: OnlineStats,
@@ -53,18 +54,26 @@ pub struct RunMetrics {
     pub cache_misses: u64,
     /// Scheduler decision-cache evictions (capacity bound) over the run.
     pub cache_evictions: u64,
-    /// Wall-clock nanoseconds the scheduler spent on drift detection and
-    /// retraining-order selection across the run (Table 1, "drift").
+    /// Wall-clock nanoseconds of drift work across the run — drift
+    /// detection and retraining-order selection, on the caller and on
+    /// background workers (Table 1, "drift"). Summed from the drift
+    /// reports on the period plans; 0 for schedulers without a drift
+    /// stage.
     pub drift_detect_ns: u64,
-    /// Drift wall time per period boundary (µs, period order) for
-    /// schedulers that track it — the distribution behind
-    /// [`Summary::drift_detect_p99_us`]. Empty otherwise.
+    /// Drift work per period boundary (µs, period order) — the
+    /// distribution behind [`Summary::drift_detect_p99_us`]. One entry
+    /// per boundary for schedulers with a drift stage, empty otherwise.
     pub drift_detect_period_us: Vec<f64>,
     /// Wall-clock nanoseconds the serving loop actually *stalled* on
     /// drift work (the drift critical path): snapshot/spawn/sweep time
     /// plus join waits, excluding background builds that overlapped
-    /// serving. Equals [`Self::drift_detect_ns`] for inline schedulers.
+    /// serving.
     pub drift_blocked_ns: u64,
+    /// Drift artifact builds across the run (background and caller).
+    /// Host-independent: it counts work, not time.
+    pub drift_builds: u64,
+    /// Drift artifact builds that warm-started their PCA fit.
+    pub drift_warm_starts: u64,
     /// Wall-clock nanoseconds of session serving across the run — every
     /// `step_session` call minus the retraining time accrued inside it.
     pub serve_ns: u64,
@@ -73,7 +82,7 @@ pub struct RunMetrics {
     pub train_ns: u64,
     /// Largest resolved worker-thread count of any parallel fan-out this
     /// run actually performed (after the ambient `available_parallelism`
-    /// fallback), across the scheduler's pools and the harness's
+    /// fallback), across the scheduler's drift stage and the harness's
     /// boundary training stage; `None` when the run has no pool at all,
     /// so reports can omit the column instead of printing a bogus 0.
     pub worker_threads: Option<usize>,
@@ -109,7 +118,7 @@ pub struct RunMetrics {
     pub fault_comm: OnlineStats,
     /// Absolute error of the online latency forecast per predicted job
     /// (|predicted − actual| last-batch completion, µs). Empty unless
-    /// the scheduler runs a predictor (`predicted_latency` on).
+    /// the run has a predictor (`predicted_latency` on).
     pub pred_abs_err_us: OnlineStats,
     /// *Relative* forecast error (|predicted − actual| / actual),
     /// bucketed by session-index quartile of the run — the predictor's
@@ -161,6 +170,8 @@ impl RunMetrics {
             drift_detect_ns: 0,
             drift_detect_period_us: Vec::new(),
             drift_blocked_ns: 0,
+            drift_builds: 0,
+            drift_warm_starts: 0,
             serve_ns: 0,
             train_ns: 0,
             worker_threads: None,
@@ -223,8 +234,8 @@ impl RunMetrics {
     }
 
     /// p99 per-period drift wall time (µs), nearest-rank over the
-    /// per-period samples; 0 when the scheduler tracks no per-period
-    /// drift times. The tail matters more than the mean here: one slow
+    /// per-period samples; 0 when the scheduler has no drift stage.
+    /// The tail matters more than the mean here: one slow
     /// period boundary stalls every session of that period. Selection
     /// (O(n)) instead of a full sort: the one ranked element is all the
     /// nearest-rank definition needs.
@@ -430,11 +441,9 @@ pub struct Summary {
     /// tail (0 for schedulers without per-period tracking).
     pub drift_detect_p99_us: f64,
     /// Mean drift *critical path* per period (µs): time the serving loop
-    /// was actually blocked on drift work. Equals
-    /// [`Self::drift_detect_us`] for inline schedulers; for overlapped
-    /// schedulers the background builds are excluded, so
-    /// `drift_detect_us − drift_critical_path_us` is the work hidden
-    /// behind serving.
+    /// was actually blocked on drift work. The background builds are
+    /// excluded, so `drift_detect_us − drift_critical_path_us` is the
+    /// work hidden behind serving.
     pub drift_critical_path_us: f64,
     /// Mean session-serving wall per period (µs) — the event loop's own
     /// phase of the breakdown (training time accrued inside sessions is
@@ -444,7 +453,7 @@ pub struct Summary {
     /// retraining.
     pub train_us: f64,
     /// Resolved worker-thread count of the row's parallel fan-outs
-    /// (scheduler pools and the harness training stage), or `None` when
+    /// (the drift stage and the harness training stage), or `None` when
     /// the run used no pool — reports omit the column then instead of
     /// printing a misleading 0.
     pub worker_threads: Option<usize>,

@@ -29,7 +29,7 @@ use adainf_core::degrade::{
     admit_within_slo, should_shed_retraining, DegradePolicy, ReloadState,
 };
 use adainf_core::plan::{BulkRetrain, Scheduler, SessionCtx};
-use adainf_core::predict::LatencyFeatures;
+use adainf_core::predict::{LatencyFeatures, LatencyPredictor};
 use adainf_core::profiler::{CommProfile, Profiler};
 use adainf_core::{AdaInfConfig, AdaInfScheduler};
 use adainf_driftgen::faultgen::FaultWindow;
@@ -254,14 +254,19 @@ pub struct Simulation {
     scratch: SessionScratch,
     /// Fault-injection state (`None` on pristine runs).
     chaos: Option<ChaosRuntime>,
+    /// Online per-app latency predictor of the admission loop (see
+    /// [`adainf_core::predict`]), present only for AdaInf runs with
+    /// [`AdaInfConfig::predicted_latency`] on.
+    predictor: Option<LatencyPredictor>,
     /// Wall-clock nanoseconds of session serving (each `step_session`
     /// minus the training time accrued inside it).
     serve_wall_ns: u128,
     /// Wall-clock nanoseconds of model training: staged SGD flushes
     /// (inline and boundary fan-outs) plus bulk retraining.
     train_wall_ns: u128,
-    /// Largest resolved width of the boundary training fan-out.
-    train_pool_width: usize,
+    /// Largest resolved width of the drift stage and the boundary
+    /// training fan-out.
+    pool_width: usize,
 }
 
 /// Staged samples per (app, node) before an SGD step fires.
@@ -313,6 +318,13 @@ impl Simulation {
                 Arc::clone(&profiler),
                 Arc::clone(&specs),
             )),
+        };
+        let predictor = match &config.method {
+            Method::AdaInf(c) if c.predicted_latency => Some(LatencyPredictor::new(
+                specs.len(),
+                c.predictor_warmup as u64,
+            )),
+            _ => None,
         };
         let node_counts: Vec<usize> = specs.iter().map(|s| s.nodes.len()).collect();
         let n_apps_for_state = specs.len();
@@ -406,9 +418,10 @@ impl Simulation {
             serial_free_at: vec![SimTime::ZERO; n_apps_for_state],
             scratch: SessionScratch::default(),
             chaos,
+            predictor,
             serve_wall_ns: 0,
             train_wall_ns: 0,
-            train_pool_width: 0,
+            pool_width: 0,
             config,
         }
     }
@@ -528,7 +541,7 @@ impl Simulation {
             }
             if !staged.is_empty() {
                 let w = WallTimer::start();
-                self.train_pool_width = self.train_pool_width.max(
+                self.pool_width = self.pool_width.max(
                     parallel::resolved_threads(staged.len(), self.config.train_workers),
                 );
                 // Pair each job with its model: `staged` is already in
@@ -581,13 +594,21 @@ impl Simulation {
             flags.iter_mut().for_each(|f| *f = false);
         }
 
+        let wall = WallTimer::start();
         let plan = self
             .scheduler
             .on_period_start(&mut self.apps, self.server.spec(), t);
-        self.metrics
-            .period_overhead
-            .add(plan.overhead.as_millis_f64());
+        self.metrics.period_overhead.add(wall.elapsed_ms());
         self.metrics.edge_cloud_bytes += plan.edge_cloud_bytes;
+        if let Some(d) = plan.drift {
+            let m = &mut self.metrics;
+            m.drift_detect_ns += d.work_ns;
+            m.drift_detect_period_us.push(d.work_ns as f64 / 1e3);
+            m.drift_blocked_ns += d.blocked_ns;
+            m.drift_builds += d.builds;
+            m.drift_warm_starts += d.warm_starts;
+            self.pool_width = self.pool_width.max(d.worker_threads);
+        }
 
         // Which nodes are scheduled for retraining this period: bulk
         // tasks (Ekya/Scrooge) or RI-DAG entries (AdaInf).
@@ -697,12 +718,12 @@ impl Simulation {
             None => DegradePolicy::default(),
         };
 
-        // Online latency predictor: when the scheduler runs one, every
+        // Online latency predictor: when the run has one, every
         // completed job below feeds it an observation and calibration
         // error is recorded — bucketed by run quartile, so the bench can
         // assert the model converges (first-quartile MAE > last's). When
         // off (the default) no feature vectors are built at all.
-        let use_pred = self.scheduler.predictor_enabled();
+        let use_pred = self.predictor.is_some();
         let quartile = if use_pred {
             let sessions =
                 (self.config.duration.as_micros() / SESSION.as_micros()).max(1);
@@ -963,7 +984,7 @@ impl Simulation {
                 // model is warm its forecast replaces the analytic
                 // inputs; below warmup (or with the predictor off) the
                 // analytic path runs bit-exactly.
-                let (per_batch, fixed) = if use_pred {
+                let forecast = self.predictor.as_ref().and_then(|p| {
                     let feats = LatencyFeatures::new(
                         n,
                         plan.batch,
@@ -973,17 +994,14 @@ impl Simulation {
                         wait.as_micros() as f64,
                         analytic_pb_us,
                     );
-                    match self.scheduler.predict_latency(app, &feats) {
-                        Some(p) => (
-                            SimDuration::from_micros(
-                                p.per_batch_us.round() as u64,
-                            ),
-                            SimDuration::from_micros(p.fixed_us.round() as u64),
-                        ),
-                        None => (analytic_per_batch, analytic_fixed),
-                    }
-                } else {
-                    (analytic_per_batch, analytic_fixed)
+                    p.predict(app, &feats)
+                });
+                let (per_batch, fixed) = match forecast {
+                    Some(p) => (
+                        SimDuration::from_micros(p.per_batch_us.round() as u64),
+                        SimDuration::from_micros(p.fixed_us.round() as u64),
+                    ),
+                    None => (analytic_per_batch, analytic_fixed),
                 };
                 let adm =
                     admit_within_slo(n, plan.batch, per_batch, fixed, slo);
@@ -1037,7 +1055,7 @@ impl Simulation {
             // observed shape *before* folding its outcome in (honest
             // out-of-sample error), then stream the observation so every
             // completed job trains the model.
-            if use_pred {
+            if let Some(predictor) = self.predictor.as_mut() {
                 let feats = LatencyFeatures::new(
                     n_served,
                     plan.batch,
@@ -1052,7 +1070,7 @@ impl Simulation {
                 let actual_per_batch_us = per_batch.as_micros() as f64;
                 let actual_total_us =
                     actual_fixed_us + actual_per_batch_us * n_batches as f64;
-                if let Some(p) = self.scheduler.predict_latency(app, &feats) {
+                if let Some(p) = predictor.predict(app, &feats) {
                     let err = (p.total_us(n_batches) - actual_total_us).abs();
                     self.metrics.pred_abs_err_us.add(err);
                     // Quartile buckets hold the *relative* error of the
@@ -1072,12 +1090,7 @@ impl Simulation {
                         }
                     }
                 }
-                self.scheduler.observe_latency(
-                    app,
-                    &feats,
-                    actual_per_batch_us,
-                    actual_fixed_us,
-                );
+                predictor.observe(app, &feats, actual_per_batch_us, actual_fixed_us);
             }
 
             // Accuracy: leaf-node predictions against golden labels,
@@ -1239,25 +1252,13 @@ impl Simulation {
         self.metrics.cache_hits = hits;
         self.metrics.cache_misses = misses;
         self.metrics.cache_evictions = evictions;
-        self.metrics.drift_detect_ns = self.scheduler.drift_overhead_ns() as u64;
-        self.metrics.drift_detect_period_us = self
-            .scheduler
-            .drift_period_ns()
-            .iter()
-            .map(|&ns| ns as f64 / 1e3)
-            .collect();
-        self.metrics.drift_blocked_ns = self.scheduler.drift_blocked_ns() as u64;
         self.metrics.serve_ns = self.serve_wall_ns as u64;
         self.metrics.train_ns = self.train_wall_ns as u64;
         // The run's resolved pool width: the widest fan-out of either
-        // the scheduler's drift pools or the harness's boundary
+        // the scheduler's drift stage or the harness's boundary
         // training stage; `None` when neither ever fanned out, so the
         // bench omits the column for pool-less rows.
-        self.metrics.worker_threads =
-            match (self.scheduler.worker_threads(), self.train_pool_width) {
-                (None, 0) => None,
-                (sched, train) => Some(sched.unwrap_or(0).max(train)),
-            };
+        self.metrics.worker_threads = (self.pool_width > 0).then_some(self.pool_width);
         if let Some(chaos) = &self.chaos {
             self.metrics.storm_evictions = chaos.mem.stats().pressure_evictions;
         }
@@ -1333,6 +1334,30 @@ mod tests {
         // No edge retraining time from jobs.
         let retrain: f64 = m.retrain_gpu_seconds.iter().sum();
         assert_eq!(retrain, 0.0);
+    }
+
+    #[test]
+    fn harness_times_every_boundary_and_collects_drift_reports() {
+        for method in [
+            Method::AdaInf(AdaInfConfig::default()),
+            Method::Ekya,
+            Method::Scrooge,
+        ] {
+            let drift_stage = matches!(method, Method::AdaInf(_));
+            let mut cfg = tiny(method);
+            // Crosses the boundaries at 0 s and 50 s.
+            cfg.duration = SimDuration::from_secs(60);
+            let m = run(cfg);
+            assert_eq!(m.period_overhead.count(), 2, "{}: timed boundaries", m.name);
+            let reports = if drift_stage { 2 } else { 0 };
+            assert_eq!(
+                m.drift_detect_period_us.len(),
+                reports,
+                "{}: drift reports",
+                m.name
+            );
+            assert_eq!(m.drift_builds > 0, drift_stage, "{}: drift builds", m.name);
+        }
     }
 
     #[test]

@@ -100,6 +100,19 @@ fn adainf_reproduces_seed_engine() {
     for (m, &(seed, ..)) in runs.iter().zip(&golden) {
         assert!(m.cache_hits > 0, "seed {seed}: cache never hit");
     }
+    // Drift work counters `(artifact builds, PCA warm starts)` per seed.
+    // They count work, not time, so they are pinned exactly at any
+    // thread width. A stale artifact the sweep had to rebuild on the
+    // caller — a background build not handed over, or a lookup outside
+    // the snapshotted job set — moves the build count.
+    let work: [(u64, u64); 3] = [(14, 7), (14, 5), (14, 7)];
+    for (m, (&(seed, ..), &counts)) in runs.iter().zip(golden.iter().zip(&work)) {
+        assert_eq!(
+            (m.drift_builds, m.drift_warm_starts),
+            counts,
+            "seed {seed}: (drift_builds, drift_warm_starts)"
+        );
+    }
 }
 
 #[test]

@@ -666,6 +666,17 @@ fn overlapped_pipeline_bit_identical_to_inline() {
                 fine == *base_fine,
                 "seed {seed} workers {workers}: fine-grained accuracy series diverged from 1 worker"
             );
+            // The recorded width is the resolved one: exactly 1 when
+            // pinned to one worker, otherwise capped by the job count.
+            let width = m.worker_threads;
+            if workers == 1 {
+                assert_eq!(width, Some(1), "seed {seed}: worker_threads at width 1");
+            } else {
+                assert!(
+                    width.is_some_and(|k| (1..=workers).contains(&k)),
+                    "seed {seed} workers {workers}: worker_threads {width:?}"
+                );
+            }
         }
     }
 }
