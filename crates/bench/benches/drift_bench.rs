@@ -53,7 +53,7 @@ fn bench_drift(c: &mut Criterion) {
             for node in 0..rt.spec.nodes.len() {
                 black_box(
                     cache
-                        .artifacts(0, &rt, node, config.pca_components, &root)
+                        .artifacts(0, &rt, node, &root)
                         .retrain
                         .len(),
                 );

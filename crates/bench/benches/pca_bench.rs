@@ -8,7 +8,8 @@
 //!   early-exit should make this several times cheaper than cold.
 //!
 //! Data shape mirrors the drift path: a few hundred feature rows at the
-//! head-layer width, reduced to `pca_components = 8` directions.
+//! head-layer width, reduced to the 8 directions the drift cache fits
+//! (its `PCA_COMPONENTS`).
 
 #![forbid(unsafe_code)]
 

@@ -1,12 +1,15 @@
 //! AdaInf tunables and ablation switches.
 
 /// Configuration of the AdaInf scheduler. Defaults are the paper's (§4):
-/// `α = 0.4`, `A_m` within `[80 %, 95 %]`, `S` starting at 3 % with 3 %
-/// increments, stability after 4 unchanged rounds.
+/// `A_m` within `[80 %, 95 %]` and `S` starting at 3 %. The §4 values
+/// nothing varies are constants beside their one reader: the 3 % `S`
+/// increment, the 4 stable rounds and the detection margin in
+/// [`crate::drift_detect`], the PCA width in [`crate::drift_cache`]. The
+/// eviction weight `α = 0.4` of `S_c = (1−α)·R_c + α·L_s` (§3.4.2) is
+/// `adainf_gpusim::memory::MemoryConfig::alpha`, and reaches a run
+/// through the communication-inflation profile it is measured into.
 #[derive(Clone, Debug)]
 pub struct AdaInfConfig {
-    /// Weight of the SLO term in the eviction score `S_c` (§3.4.2).
-    pub alpha: f64,
     /// Accuracy threshold `A_m` for early-exit structure selection
     /// (§3.3.2), as a fraction of the model's *initial* accuracy rather
     /// than an absolute value, so it adapts across tasks of different
@@ -15,19 +18,6 @@ pub struct AdaInfConfig {
     /// Initial fraction `S` of new samples inspected by the drift
     /// detector (§3.2).
     pub s_init: f64,
-    /// Increment of `S` per detection round.
-    pub s_step: f64,
-    /// Rounds without change after which detection stops (`n` in §3.2).
-    pub stable_rounds: usize,
-    /// PCA components used before cosine distances (§3.2).
-    pub pca_components: usize,
-    /// Detection margin: a model is impacted when `I_m − I'_m` exceeds
-    /// this (guards against finite-sample noise on small `S`).
-    pub detect_margin: f64,
-    /// Retraining batch size used by incremental slices.
-    pub retrain_batch: u32,
-    /// Epochs per retraining slice.
-    pub retrain_epochs: u32,
     /// §6 extension: sessions predicting at most this many requests are
     /// served on the host CPU, freeing GPU space (0 disables).
     pub cpu_offload_threshold: u32,
@@ -86,15 +76,8 @@ pub struct AdaInfConfig {
 impl Default for AdaInfConfig {
     fn default() -> Self {
         AdaInfConfig {
-            alpha: 0.4,
             a_m: 0.9,
             s_init: 0.03,
-            s_step: 0.03,
-            stable_rounds: 4,
-            pca_components: 8,
-            detect_margin: 0.05,
-            retrain_batch: 32,
-            retrain_epochs: 1,
             cpu_offload_threshold: 0,
             joint_batch_space: false,
             predicted_latency: false,
@@ -211,10 +194,8 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = AdaInfConfig::default();
-        assert_eq!(c.alpha, 0.4);
+        assert_eq!(c.a_m, 0.9);
         assert_eq!(c.s_init, 0.03);
-        assert_eq!(c.s_step, 0.03);
-        assert_eq!(c.stable_rounds, 4);
         assert_eq!(c.variant_name(), "AdaInf");
     }
 

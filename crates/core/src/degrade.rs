@@ -20,40 +20,20 @@
 //!   retraining slices (their samples stay in the pool for calmer
 //!   sessions) rather than blow the inference SLO.
 //! * **Bounded reload retry** ([`ReloadState`]) — under memory pressure,
-//!   evicted parameters are re-fetched at most
-//!   [`DegradePolicy::max_reload_retries`] consecutive times; after
-//!   that the app serves in a degraded steady state instead of
-//!   thrashing the PCIe bus every session.
+//!   evicted parameters are re-fetched at most [`MAX_RELOAD_RETRIES`]
+//!   consecutive times; after that the app serves in a degraded steady
+//!   state instead of thrashing the PCIe bus every session.
 //!
-//! All functions are deterministic and allocation-free; the harness
-//! calls them only on sessions with an active fault window, so runs
-//! without faults are bit-identical to runs without the machinery.
+//! All three are always on. All functions are deterministic and
+//! allocation-free; the harness calls them only on sessions with an
+//! active fault window, so runs without faults are bit-identical to
+//! runs without the machinery.
 
 use adainf_simcore::SimDuration;
 
-/// Knobs of the degradation behaviour. `Copy` so it can ride inside the
-/// harness run configuration's functional updates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DegradePolicy {
-    /// Shed requests that cannot finish within the SLO instead of
-    /// running batches that are doomed to miss.
-    pub admission_control: bool,
-    /// Drop planned retraining slices when spare time collapses.
-    pub inference_only_under_pressure: bool,
-    /// Consecutive failed parameter reloads tolerated under memory
-    /// pressure before the app gives up and serves degraded.
-    pub max_reload_retries: u32,
-}
-
-impl Default for DegradePolicy {
-    fn default() -> Self {
-        DegradePolicy {
-            admission_control: true,
-            inference_only_under_pressure: true,
-            max_reload_retries: 3,
-        }
-    }
-}
+/// Consecutive failed parameter reloads tolerated under memory
+/// pressure before the app gives up and serves degraded.
+pub const MAX_RELOAD_RETRIES: u32 = 3;
 
 /// Outcome of admission control for one job: `admitted + shed`
 /// reconstructs the arrivals.

@@ -36,6 +36,10 @@ use std::collections::BTreeMap;
 /// streams split from the same root.
 const PCA_STREAM: u64 = 0xD21F_7000;
 
+/// PCA components the deviation rankings are computed in (§3.2 reduces
+/// the first-layer features before the cosine distances).
+const PCA_COMPONENTS: usize = 8;
+
 /// Everything the drift pipeline needs about one `(app, node)` in one
 /// period, computed in a single pass over the data. `PartialEq`
 /// compares the rankings exactly and the matrices element-wise — the
@@ -372,7 +376,6 @@ fn interleave(ranked: &[usize]) -> Vec<usize> {
 fn rankings(
     inputs: &DriftInputs<'_>,
     node: usize,
-    pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
@@ -406,7 +409,7 @@ fn rankings(
         model.features_into(old, &mut feats);
     }
     let mut rng = root.split(PCA_STREAM ^ (period << 16) ^ node as u64);
-    let pca = Pca::fit_warm_with_scratch(&feats, pca_components, &mut rng, pca_scratch, warm);
+    let pca = Pca::fit_warm_with_scratch(&feats, PCA_COMPONENTS, &mut rng, pca_scratch, warm);
     pca.transform_into(&feats, projected);
     let means = class_means(projected, &old.labels, model.classes());
     // The old features are dead from here on: overwrite the buffer with
@@ -431,14 +434,13 @@ fn rankings(
 fn build_ranked(
     inputs: &DriftInputs<'_>,
     node: usize,
-    pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
     carry: Matrix,
 ) -> DriftArtifacts {
     let (deviation, ref_order, basis, pool_features) =
-        rankings(inputs, node, pca_components, root, scratch, warm, carry);
+        rankings(inputs, node, root, scratch, warm, carry);
     let retrain = interleave(&deviation);
     let artifacts = DriftArtifacts {
         deviation,
@@ -463,12 +465,11 @@ fn build_ranked(
 pub fn build_artifacts(
     rt: &AppRuntime,
     node: usize,
-    pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
 ) -> DriftArtifacts {
     let inputs = DriftInputs::from_runtime(rt, node);
-    let mut artifacts = build_ranked(&inputs, node, pca_components, root, scratch, None, Matrix::default());
+    let mut artifacts = build_ranked(&inputs, node, root, scratch, None, Matrix::default());
     let pool_len = artifacts.deviation.len();
     let ref_len = artifacts.ref_order.len();
     if pool_len > 0 {
@@ -522,7 +523,7 @@ impl DriftSnapshot {
     /// Runs the artifact build against the snapshotted inputs — the
     /// same build on a worker or on the caller, because it reads only
     /// the [`DriftInputs`] values the snapshot pinned.
-    pub fn build(self, pca_components: usize, scratch: &mut DetectScratch) -> BuiltArtifacts {
+    pub fn build(self, scratch: &mut DetectScratch) -> BuiltArtifacts {
         let inputs = DriftInputs {
             old: &self.old,
             pool: &self.pool,
@@ -533,7 +534,6 @@ impl DriftSnapshot {
         let artifacts = build_ranked(
             &inputs,
             self.slot.1,
-            pca_components,
             &self.root,
             scratch,
             self.warm.as_ref(),
@@ -639,14 +639,13 @@ impl DriftCache {
         app: usize,
         rt: &AppRuntime,
         node: usize,
-        pca_components: usize,
         root: &Prng,
     ) -> &DriftArtifacts {
         match self.snapshot(app, node, rt, root) {
             None => self.hits += 1,
             Some(snap) => {
                 self.lookup_builds += 1;
-                let built = snap.build(pca_components, &mut self.scratch);
+                let built = snap.build(&mut self.scratch);
                 self.insert_built(built);
             }
         }
@@ -825,7 +824,7 @@ mod tests {
         let root = Prng::new(99);
         let mut scratch = DetectScratch::default();
         for node in 0..rt.spec.nodes.len() {
-            let art = build_artifacts(&rt, node, 8, &root, &mut scratch);
+            let art = build_artifacts(&rt, node, &root, &mut scratch);
             let pool = rt.pools[node].samples();
             let model = &rt.models[node];
             assert_eq!(art.pool_prefix.len(), pool.len() + 1);
@@ -850,13 +849,13 @@ mod tests {
         let rt = drifted_runtime(2);
         let root = Prng::new(7);
         let mut cache = DriftCache::new();
-        let first = cache.artifacts(0, &rt, 1, 8, &root).clone();
+        let first = cache.artifacts(0, &rt, 1, &root).clone();
         assert_eq!(cache.misses, 1);
-        let hit = cache.artifacts(0, &rt, 1, 8, &root).clone();
+        let hit = cache.artifacts(0, &rt, 1, &root).clone();
         assert_eq!(cache.hits, 1);
         // A hit must replay the build exactly, and an independent fresh
         // build from the same root stream must agree bit-for-bit.
-        let fresh = build_artifacts(&rt, 1, 8, &root, &mut DetectScratch::default());
+        let fresh = build_artifacts(&rt, 1, &root, &mut DetectScratch::default());
         assert_eq!(first.deviation, fresh.deviation);
         assert_eq!(first.retrain, fresh.retrain);
         assert_eq!(first.ref_order, fresh.ref_order);
@@ -878,20 +877,20 @@ mod tests {
         let mut rt = drifted_runtime(1);
         let root = Prng::new(7);
         let mut cache = DriftCache::new();
-        cache.artifacts(0, &rt, 1, 8, &root);
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
+        cache.artifacts(0, &rt, 1, &root);
         assert_eq!((cache.hits, cache.misses), (1, 1));
         // Pool-generation bump: new period → rebuild.
         rt.advance_period();
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         assert_eq!((cache.hits, cache.misses), (1, 2));
         // Model-version bump: retraining → rebuild.
         let slice = rt.pools[1].samples().clone();
         rt.models[1].train_slice(&slice, 1);
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         assert_eq!((cache.hits, cache.misses), (1, 3));
         // Stable key afterwards: hit again.
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         assert_eq!((cache.hits, cache.misses), (2, 3));
     }
 
@@ -920,7 +919,7 @@ mod tests {
                     snaps,
                     threads,
                     DetectScratch::default,
-                    |_, snap: DriftSnapshot, scratch: &mut DetectScratch| snap.build(8, scratch),
+                    |_, snap: DriftSnapshot, scratch: &mut DetectScratch| snap.build(scratch),
                     |stage| {
                         let mut built: Vec<Option<BuiltArtifacts>> = (0..n).map(|_| None).collect();
                         for idx in (0..n).rev() {
@@ -933,8 +932,8 @@ mod tests {
                     bg.insert_built(b);
                 }
                 for node in 0..nodes {
-                    let s = seq.artifacts(0, &rt, node, 8, &root).clone();
-                    let p = bg.artifacts(0, &rt, node, 8, &root);
+                    let s = seq.artifacts(0, &rt, node, &root).clone();
+                    let p = bg.artifacts(0, &rt, node, &root);
                     assert_eq!(&s, p, "threads {threads} node {node}");
                 }
                 rt.advance_period();
@@ -961,11 +960,11 @@ mod tests {
         let snaps = cache.snapshot_stale(&jobs, std::slice::from_ref(&rt), &root);
         assert_eq!(snaps.len(), nodes);
         let built = fan_out_check(11, 3, &[1, 2, 4], snaps.len(), DetectScratch::default, |i, scratch| {
-            snaps[i].clone().build(8, scratch).artifacts
+            snaps[i].clone().build(scratch).artifacts
         });
         let mut lookups = DriftCache::new();
         for (node, art) in built.iter().enumerate() {
-            let reference = lookups.artifacts(0, &rt, node, 8, &root);
+            let reference = lookups.artifacts(0, &rt, node, &root);
             assert_eq!(art, reference, "node {node}");
         }
     }
@@ -979,28 +978,28 @@ mod tests {
         // Adjacent periods, same model version: warm start.
         let mut rt = drifted_runtime(1);
         let mut cache = DriftCache::new();
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         rt.advance_period();
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         assert_eq!(cache.warm_starts, 1, "adjacent period must warm-start");
 
         // Model-version bump alongside the period step: cold restart.
         let mut rt = drifted_runtime(1);
         let mut cache = DriftCache::new();
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         rt.advance_period();
         let slice = rt.pools[1].samples().clone();
         rt.models[1].train_slice(&slice, 1);
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         assert_eq!(cache.warm_starts, 0, "version bump must invalidate");
 
         // Generation jump (two periods between builds): cold restart.
         let mut rt = drifted_runtime(1);
         let mut cache = DriftCache::new();
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         rt.advance_period();
         rt.advance_period();
-        cache.artifacts(0, &rt, 1, 8, &root);
+        cache.artifacts(0, &rt, 1, &root);
         assert_eq!(cache.warm_starts, 0, "generation jump must invalidate");
     }
 }

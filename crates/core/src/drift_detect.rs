@@ -37,6 +37,15 @@ use crate::drift_cache::{DetectScratch, DriftCache};
 use adainf_apps::AppRuntime;
 use adainf_simcore::Prng;
 
+/// Increment of `S` per detection round (§4: 3 % steps).
+const S_STEP: f64 = 0.03;
+/// Rounds without change after which detection stops (`n` in §3.2; §4
+/// uses 4).
+const STABLE_ROUNDS: usize = 4;
+/// A model is impacted when `I_m − I'_m` exceeds this margin, which
+/// guards against finite-sample noise on small `S`.
+const DETECT_MARGIN: f64 = 0.05;
+
 /// Detection outcome for one application.
 #[derive(Clone, Debug, Default)]
 pub struct DriftReport {
@@ -71,7 +80,7 @@ pub fn detect_drift_cached(
     // detection usually stabilises long before S reaches 100 %, so most
     // pool samples are never predicted at all.
     for node in 0..n_nodes {
-        cache.artifacts(app, rt, node, config.pca_components, root);
+        cache.artifacts(app, rt, node, root);
     }
 
     let mut report = DriftReport::default();
@@ -84,7 +93,7 @@ pub fn detect_drift_cached(
     // reused across nodes and S rounds.
     let mut scratch = DetectScratch::default();
 
-    while stable < config.stable_rounds && s <= 1.0 {
+    while stable < STABLE_ROUNDS && s <= 1.0 {
         let mut set = Vec::new();
         for (node, impact) in impacts.iter_mut().enumerate() {
             let art = cache
@@ -104,7 +113,7 @@ pub fn detect_drift_cached(
             // row-independent).
             let i_prime = art.pool_prefix_at(rt, node, take, &mut scratch) as f64 / take as f64;
             let i_m = art.ref_prefix_at(rt, node, ref_take, &mut scratch) as f64 / ref_take as f64;
-            if i_m - i_prime > config.detect_margin {
+            if i_m - i_prime > DETECT_MARGIN {
                 set.push(node);
                 *impact = i_m - i_prime;
             }
@@ -117,7 +126,7 @@ pub fn detect_drift_cached(
             last_set = Some(set);
         }
         report.final_s = s;
-        s += config.s_step;
+        s += S_STEP;
     }
 
     if let Some(set) = last_set {
@@ -215,8 +224,8 @@ mod tests {
         let rng = Prng::new(2);
         let config = AdaInfConfig::default();
         let report = detect_drift(&rt, &config, &rng);
-        // The trace's last `stable_rounds` entries carry the same set.
-        let k = config.stable_rounds;
+        // The trace's last `STABLE_ROUNDS` entries carry the same set.
+        let k = STABLE_ROUNDS;
         assert!(report.trace.len() >= k);
         let tail = &report.trace[report.trace.len() - k..];
         assert!(tail.windows(2).all(|w| w[0].1 == w[1].1));
@@ -246,7 +255,7 @@ mod tests {
     fn deviation_order_is_permutation() {
         let rt = drifted_runtime(1);
         let rng = Prng::new(4);
-        let order = build_artifacts(&rt, 1, 8, &rng, &mut DetectScratch::default()).deviation;
+        let order = build_artifacts(&rt, 1, &rng, &mut DetectScratch::default()).deviation;
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..order.len()).collect::<Vec<_>>());

@@ -39,8 +39,8 @@
 //!   ridge regression) and the SLO-headroom scorer that feeds learned
 //!   `fixed`/`per_batch` forecasts into [`degrade`]'s admission when
 //!   [`AdaInfConfig::predicted_latency`] is on.
-//! * [`config`] — all tunables (α, `A_m`, `S`…) and the ablation switches
-//!   (/I, /U, /S, /E, /M1, /M2 of §5.2).
+//! * [`config`] — the tunables something varies (`A_m`, `S`…) and the
+//!   ablation switches (/I, /U, /S, /E, /M1, /M2 of §5.2).
 //! * [`cache`] — exact memoisation of the per-session scheduling
 //!   searches, invalidated at period boundaries.
 //! * [`scheduler`] — [`scheduler::AdaInfScheduler`], tying it together.
@@ -53,7 +53,6 @@ pub mod config;
 pub mod degrade;
 pub mod drift_cache;
 pub mod drift_detect;
-pub mod incremental;
 pub mod plan;
 pub mod predict;
 pub mod profiler;
@@ -64,7 +63,6 @@ pub mod space;
 pub mod timealloc;
 
 pub use config::AdaInfConfig;
-pub use degrade::DegradePolicy;
 pub use plan::{JobPlan, PeriodPlan, RetrainSlice, Scheduler, SessionCtx};
 pub use predict::{LatencyFeatures, LatencyPredictor, PredictedLatency};
 pub use scheduler::AdaInfScheduler;

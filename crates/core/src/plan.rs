@@ -22,7 +22,7 @@ use adainf_gpusim::{EvictionPolicyKind, ExecMode, GpuSpec};
 use adainf_simcore::{SimDuration, SimTime};
 
 /// One vertex of a retraining plan within a job: retrain `node` for
-/// `time`, on `samples` samples in batches of `batch` for `epochs` epochs
+/// `time`, on `samples` samples in batches of `batch` for one epoch
 /// (the "retraining setting" of §3.3.2).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetrainSlice {
@@ -34,8 +34,6 @@ pub struct RetrainSlice {
     pub samples: u32,
     /// Retraining batch size.
     pub batch: u32,
-    /// Epochs over the slice's samples.
-    pub epochs: u32,
 }
 
 /// Per-job allocation decided for one session.
@@ -199,7 +197,6 @@ mod tests {
             time: SimDuration::from_millis(100),
             samples: 64,
             batch: 32,
-            epochs: 1,
         };
         let plan = JobPlan {
             app: 0,

@@ -17,7 +17,6 @@ use crate::cache::DecisionCache;
 use crate::config::AdaInfConfig;
 use crate::drift_cache::{BuiltArtifacts, DetectScratch, DriftCache, DriftSnapshot};
 use crate::drift_detect::{detect_drift_cached, DriftReport};
-use crate::incremental::RetrainProgress;
 use crate::plan::{AppPeriodPlan, DriftStageReport, JobPlan, PeriodPlan, Scheduler, SessionCtx};
 use crate::profiler::Profiler;
 use crate::ridag::RiDag;
@@ -57,9 +56,6 @@ pub struct AdaInfScheduler {
     states: Vec<AppState>,
     /// Drift reports of the latest detection round (Table 2).
     pub last_reports: Vec<DriftReport>,
-    /// Live incremental-retraining progress (planned slices; the harness
-    /// holds ground truth for actually consumed samples).
-    pub progress: RetrainProgress,
     /// Exact memoisation of the per-session searches (see [`crate::cache`]).
     cache: DecisionCache,
     /// Per-period drift artifact cache (see [`crate::drift_cache`]):
@@ -87,15 +83,9 @@ impl AdaInfScheduler {
             specs,
             states: vec![AppState::default(); n],
             last_reports: Vec::new(),
-            progress: RetrainProgress::new(),
             cache: DecisionCache::default(),
             drift: DriftCache::new(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AdaInfConfig {
-        &self.config
     }
 
     /// Refreshes the per-node `(cut, accuracy)` tables and initial
@@ -205,7 +195,6 @@ impl Scheduler for AdaInfScheduler {
             drift.snapshot_stale(&jobs, apps, rng)
         };
         let slots: Vec<(usize, usize)> = snaps.iter().map(|s| s.slot).collect();
-        let pca_components = self.config.pca_components;
         let drift_workers = self.config.drift_workers;
         let sweep = parallel::fan_out(
             snaps,
@@ -213,7 +202,7 @@ impl Scheduler for AdaInfScheduler {
             DetectScratch::default,
             move |_, snap: DriftSnapshot, scratch: &mut DetectScratch| {
                 let t = WallTimer::start();
-                let built = snap.build(pca_components, scratch);
+                let built = snap.build(scratch);
                 (built, t.elapsed_nanos() as u64)
             },
             |stage| {
@@ -267,7 +256,7 @@ impl Scheduler for AdaInfScheduler {
                     for node in 0..rt.spec.nodes.len() {
                         if states[a].ridag.retrains(node) {
                             let order = drift
-                                .artifacts(a, rt, node, config.pca_components, rng)
+                                .artifacts(a, rt, node, rng)
                                 .retrain
                                 .clone();
                             rt.pools[node].set_order(&order);
@@ -311,25 +300,6 @@ impl Scheduler for AdaInfScheduler {
         // Time plans are valid only for this period's DAGs and accuracy
         // snapshots — drop the stale ones.
         self.cache.start_period();
-        // Register this period's retraining nodes with the progress
-        // tracker.
-        let registrations: Vec<((usize, usize), u32)> = self
-            .states
-            .iter()
-            .enumerate()
-            .flat_map(|(a, s)| {
-                s.ridag
-                    .entries
-                    .iter()
-                    .map(move |e| ((a, e.node), 0u32))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut regs = registrations;
-        for ((a, node), pool) in regs.iter_mut() {
-            *pool = apps[*a].pools[*node].total() as u32;
-        }
-        self.progress.start_period(regs);
 
         PeriodPlan {
             apps: self
@@ -416,14 +386,13 @@ impl Scheduler for AdaInfScheduler {
 
         let (mode, policy) = strategies(&self.config);
         // Disjoint field borrows: the plan-cache closure reads specs and
-        // states while the cache and progress tracker are written.
+        // states while the cache is written.
         let AdaInfScheduler {
             config,
             profiler,
             specs,
             states,
             cache,
-            progress,
             ..
         } = self;
         let mut plans: Vec<JobPlan> = division
@@ -446,15 +415,6 @@ impl Scheduler for AdaInfScheduler {
                     )
                 });
                 let slices = clamp_slices(&plan.proto, &ctx.pool_remaining[job.app]);
-                for s in &slices {
-                    progress.record_slice(
-                        job.app,
-                        s.node,
-                        s.samples,
-                        s.time.mul_f64(d.gpu),
-                        ctx.now,
-                    );
-                }
                 JobPlan {
                     app: job.app,
                     gpu: d.gpu,

@@ -11,7 +11,9 @@
 //!    `T_r = L_s − Σ l_k`;
 //! 4. splits `T_r` among the retraining tasks in proportion to their
 //!    impact degrees and converts each share into a retraining setting
-//!    (samples, batch, epochs) via the offline profiles.
+//!    (samples, batch) via the offline profiles. Every slice trains its
+//!    samples for one epoch: [`Profiler::samples_within`] fits the
+//!    sample count to the budget at one epoch.
 
 use crate::config::AdaInfConfig;
 use crate::plan::RetrainSlice;
@@ -33,8 +35,6 @@ pub struct ProtoSlice {
     pub fit: u32,
     /// Retraining batch size.
     pub batch: u32,
-    /// Epochs per slice.
-    pub epochs: u32,
 }
 
 /// The pool-independent part of a time division: everything except the
@@ -152,7 +152,6 @@ pub fn plan_time(
                 time: budget,
                 fit,
                 batch,
-                epochs: config.retrain_epochs,
             });
         }
     }
@@ -184,7 +183,6 @@ pub fn clamp_slices(proto: &[ProtoSlice], pool_remaining: &[usize]) -> Vec<Retra
                 time: p.time,
                 samples,
                 batch: p.batch,
-                epochs: p.epochs,
             })
         })
         .collect()
@@ -358,14 +356,12 @@ mod tests {
                 time: SimDuration::from_millis(10),
                 fit: 32,
                 batch: 16,
-                epochs: 1,
             },
             ProtoSlice {
                 node: 5,
                 time: SimDuration::from_millis(10),
                 fit: 32,
                 batch: 16,
-                epochs: 1,
             },
         ];
         let slices = clamp_slices(&proto, &[20]);

@@ -784,15 +784,12 @@ pub fn fig23(scale: Scale) -> String {
             grouped_priority: inflation,
             ..CommProfile::default()
         };
-        let config = AdaInfConfig {
-            alpha,
-            ..AdaInfConfig::default()
-        };
+        // α enters the run only through the re-profiled inflation.
         let base = RunConfig {
             comm: Some(comm),
             ..scale.base()
         };
-        let m = run(base.with_method(Method::AdaInf(config)));
+        let m = run(base.with_method(Method::AdaInf(AdaInfConfig::default())));
         rows.push(vec![
             format!("{alpha:.1}"),
             format!("{inflation:.3}"),

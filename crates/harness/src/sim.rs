@@ -26,7 +26,7 @@ use crate::metrics::RunMetrics;
 use adainf_apps::{apps_for_count, AppRuntime, AppSpec};
 use adainf_baselines::{EkyaScheduler, ScroogeScheduler};
 use adainf_core::degrade::{
-    admit_within_slo, should_shed_retraining, DegradePolicy, ReloadState,
+    admit_within_slo, should_shed_retraining, ReloadState, MAX_RELOAD_RETRIES,
 };
 use adainf_core::plan::{BulkRetrain, Scheduler, SessionCtx};
 use adainf_core::predict::{LatencyFeatures, LatencyPredictor};
@@ -71,26 +71,22 @@ impl Method {
     }
 }
 
-/// Fault-injection configuration of a run: the seeded fault scenario
-/// plus the degradation policy the serving loop uses to absorb it.
-/// `Copy` so it rides inside [`RunConfig::with_method`]'s functional
-/// update like every other non-method field.
+/// Fault-injection configuration of a run: the seeded fault scenario.
+/// The serving loop absorbs it with the always-on degradation of
+/// [`adainf_core::degrade`]. `Copy` so it rides inside
+/// [`RunConfig::with_method`]'s functional update like every other
+/// non-method field.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
     /// The fault scenario (an empty spec injects nothing, and the run
     /// stays bit-identical to one with `chaos: None`).
     pub faults: FaultSpec,
-    /// Graceful-degradation knobs.
-    pub degrade: DegradePolicy,
 }
 
 impl ChaosConfig {
-    /// A scenario with the default degradation policy.
+    /// The run configuration of one fault scenario.
     pub fn scenario(faults: FaultSpec) -> Self {
-        ChaosConfig {
-            faults,
-            degrade: DegradePolicy::default(),
-        }
+        ChaosConfig { faults }
     }
 }
 
@@ -185,8 +181,6 @@ struct SessionScratch {
 struct ChaosRuntime {
     /// Pre-generated fault windows for the whole horizon.
     timeline: FaultTimeline,
-    /// Degradation knobs (copied out of the config).
-    degrade: DegradePolicy,
     /// A fault-facing model of the edge GPUs' memory, seeded with every
     /// application's parameters resident. Pressure windows collapse its
     /// capacity; the resulting eviction storms and parameter reloads
@@ -388,7 +382,6 @@ impl Simulation {
             let starve = timeline.windows_of(FaultKind::PoolStarvation);
             Some(ChaosRuntime {
                 timeline,
-                degrade: cc.degrade,
                 mem,
                 starve,
                 starve_cursor: 0,
@@ -713,10 +706,6 @@ impl Simulation {
         // jobs reload. NEUTRAL (and untaken branches throughout) on
         // pristine runs.
         let imp = self.chaos_pre_session(t);
-        let degrade = match &self.chaos {
-            Some(c) => c.degrade,
-            None => DegradePolicy::default(),
-        };
 
         // Online latency predictor: when the run has one, every
         // completed job below feeds it an observation and calibration
@@ -826,7 +815,6 @@ impl Simulation {
             // slices — their samples stay in the pool for calmer
             // sessions — rather than blow the inference SLO.
             let drop_retrain = imp.impaired
-                && degrade.inference_only_under_pressure
                 && !plan.retrain.is_empty()
                 && {
                     let planned = plan.retrain.iter().fold(
@@ -839,7 +827,7 @@ impl Simulation {
                                 &c,
                                 slice.samples,
                                 slice.batch,
-                                slice.epochs,
+                                1,
                                 plan.gpu,
                             )
                         },
@@ -863,16 +851,17 @@ impl Simulation {
                     continue;
                 }
                 let cost = self.specs[app].nodes[slice.node].profile.full_cost();
+                // One epoch: the setting `samples_within` sized the slice for.
                 let time = self.profiler.latency.training_latency(
                     &cost,
                     batch.len() as u32,
                     slice.batch,
-                    slice.epochs,
+                    1,
                     plan.gpu,
                 );
                 taken_total += batch.len() as f64;
                 self.metrics.retrain_samples[app][slice.node] += batch.len() as u64;
-                self.stage_train(app, slice.node, batch, slice.epochs.min(2) as usize);
+                self.stage_train(app, slice.node, batch);
                 retrain_time += time;
                 self.metrics
                     .add_retrain_gpu_time(t, time.as_secs_f64() * plan.gpu);
@@ -884,7 +873,7 @@ impl Simulation {
             // GPU job's parameters may have been evicted by the storm
             // (or by other apps' reloads thrashing the shrunken
             // capacity). Re-fetch them, charging real PCIe time, at most
-            // `max_reload_retries` consecutive times; after that the app
+            // `MAX_RELOAD_RETRIES` consecutive times; after that the app
             // gives up and serves with host-resident weights at a flat
             // penalty, without churning the shared memory model further.
             let mut reload_comm = SimDuration::ZERO;
@@ -919,7 +908,7 @@ impl Simulation {
                             self.metrics.reload_retries += 1;
                             self.metrics.fault_comm.add(comm.as_millis_f64());
                             if !chaos.reload[app]
-                                .record_failure(chaos.degrade.max_reload_retries)
+                                .record_failure(MAX_RELOAD_RETRIES)
                             {
                                 self.metrics.reload_gave_up += 1;
                             }
@@ -974,7 +963,7 @@ impl Simulation {
             // time — the overload extension of the frame shedding above.
             // Shed requests count as missed but are still arrivals.
             let mut n_served = n;
-            if imp.impaired && degrade.admission_control {
+            if imp.impaired {
                 let n_batches = n.div_ceil(plan.batch.max(1));
                 let analytic_per_batch = SimDuration::from_micros(
                     inference.as_micros() / n_batches.max(1) as u64,
@@ -1185,7 +1174,6 @@ impl Simulation {
         app: usize,
         node: usize,
         batch: LabeledSamples,
-        epochs: usize,
     ) {
         if batch.is_empty() {
             return;
@@ -1193,7 +1181,7 @@ impl Simulation {
         self.stage[app][node].push(batch);
         let total: usize = self.stage[app][node].iter().map(|b| b.len()).sum();
         if total >= STAGE_THRESHOLD {
-            self.flush_stage(app, node, epochs);
+            self.flush_stage(app, node);
         }
     }
 
@@ -1239,10 +1227,10 @@ impl Simulation {
     /// Applies any staged samples of (app, node) as one SGD slice,
     /// rehearsing an equal-sized draw from the replay reservoir and
     /// shuffling, then folds the new samples into the reservoir.
-    fn flush_stage(&mut self, app: usize, node: usize, epochs: usize) {
+    fn flush_stage(&mut self, app: usize, node: usize) {
         if let Some(shuffled) = self.prepare_flush(app, node) {
             let w = WallTimer::start();
-            self.apps[app].models[node].train_slice(&shuffled, epochs.max(1));
+            self.apps[app].models[node].train_slice(&shuffled, 1);
             self.train_wall_ns += w.elapsed_nanos();
         }
     }

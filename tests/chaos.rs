@@ -209,6 +209,69 @@ fn drift_sweep_builds_nothing_on_the_caller() {
     }
 }
 
+/// Pinned outcomes of the combined chaos scenario at the golden seeds:
+/// the admission, inference-only fallback and bounded-reload paths all
+/// fire, and what they did is fixed exactly.
+#[test]
+fn chaos_outcomes_are_pinned() {
+    // `(seed, [total_requests, shed_requests, dropped_retrain_slices,
+    // reload_retries, degraded_jobs, storm_evictions], mean_accuracy,
+    // mean_finish_rate)`.
+    let pins: [(u64, [u64; 6], f64, f64); 3] = [
+        (
+            11,
+            [5472060, 2495101, 1166, 24, 8863, 2],
+            0.9022731843872402,
+            0.7694468402057263,
+        ),
+        (
+            23,
+            [4688523, 1498063, 0, 16, 7982, 2],
+            0.9091876750608856,
+            0.8489095644918955,
+        ),
+        (
+            47,
+            [4242507, 1196662, 342, 16, 7982, 2],
+            0.9118390242064405,
+            0.8531642009384903,
+        ),
+    ];
+    for &(seed, counts, accuracy, finish) in &pins {
+        let mut cfg = config(Method::AdaInf(AdaInfConfig::default()), seed);
+        cfg.chaos = Some(ChaosConfig::scenario(FaultSpec::chaos(seed)));
+        let m = run(cfg);
+        let s = m.summary();
+        assert!(m.fault_sessions > 0, "seed {seed}: no fault window fired");
+        assert!(m.shed_requests > 0, "seed {seed}: admission never shed");
+        assert!(m.reload_retries > 0, "seed {seed}: no parameter reload");
+        assert_eq!(
+            [
+                m.total_requests,
+                m.shed_requests,
+                m.dropped_retrain_slices,
+                m.reload_retries,
+                m.degraded_jobs,
+                m.storm_evictions,
+            ],
+            counts,
+            "seed {seed}: [total, shed, dropped slices, reload retries, degraded jobs, storm evictions]"
+        );
+        assert_eq!(
+            s.mean_accuracy.to_bits(),
+            accuracy.to_bits(),
+            "seed {seed}: mean_accuracy {} != pinned {accuracy}",
+            s.mean_accuracy
+        );
+        assert_eq!(
+            s.mean_finish_rate.to_bits(),
+            finish.to_bits(),
+            "seed {seed}: mean_finish_rate {} != pinned {finish}",
+            s.mean_finish_rate
+        );
+    }
+}
+
 /// A faulted run is bit-for-bit deterministic in its seed.
 #[test]
 fn chaos_runs_are_deterministic() {

@@ -95,10 +95,16 @@ fn adainf_reproduces_seed_engine() {
         (47, 1392262, 0.9090062030500701, 0.9991235715669184),
     ];
     let runs = assert_golden(|| Method::AdaInf(AdaInfConfig::default()), &golden);
-    // Every decision goes through the cache, and the pinned rows only
-    // mean something if it actually replayed decisions.
-    for (m, &(seed, ..)) in runs.iter().zip(&golden) {
-        assert!(m.cache_hits > 0, "seed {seed}: cache never hit");
+    // Decision-cache work `(hits, misses)` per seed. Every decision goes
+    // through the cache, so a change to what a time plan or space
+    // division memoises, or to its key, moves these counts.
+    let cache: [(u64, u64); 3] = [(106050, 1950), (106804, 1196), (106806, 1194)];
+    for (m, (&(seed, ..), &counts)) in runs.iter().zip(golden.iter().zip(&cache)) {
+        assert_eq!(
+            (m.cache_hits, m.cache_misses),
+            counts,
+            "seed {seed}: (cache_hits, cache_misses)"
+        );
     }
     // Drift work counters `(artifact builds, PCA warm starts)` per seed.
     // They count work, not time, so they are pinned exactly at any

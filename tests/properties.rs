@@ -360,7 +360,7 @@ fn drift_prebuild_survives_adversarial_schedules() {
             DetectScratch::default,
             |i, scratch| {
                 let (app, node) = jobs[i];
-                build_artifacts(&apps[app], node, 8, &root, scratch)
+                build_artifacts(&apps[app], node, &root, scratch)
             },
         );
 
@@ -376,7 +376,7 @@ fn drift_prebuild_survives_adversarial_schedules() {
                 snaps,
                 threads,
                 DetectScratch::default,
-                |_, snap: DriftSnapshot, scratch: &mut DetectScratch| snap.build(8, scratch),
+                |_, snap: DriftSnapshot, scratch: &mut DetectScratch| snap.build(scratch),
                 |stage| stage.drain(),
             );
             for (_, b) in built {
@@ -421,7 +421,7 @@ proptest! {
         let root = Prng::new(seed ^ 0xACC);
         let mut scratch = DetectScratch::default();
         for node in 0..rt.spec.nodes.len() {
-            let art = build_artifacts(&rt, node, 8, &root, &mut scratch);
+            let art = build_artifacts(&rt, node, &root, &mut scratch);
             let pool = rt.pools[node].samples();
             prop_assume!(!pool.is_empty());
             let take = ((take_frac * pool.len() as f64).ceil() as usize)
@@ -446,10 +446,10 @@ proptest! {
         let root = Prng::new(seed ^ 0xCAC4E);
         let mut cache = DriftCache::new();
         let node = 1;
-        let first = cache.artifacts(0, &rt, node, 8, &root).clone();
-        let hit = cache.artifacts(0, &rt, node, 8, &root).clone();
+        let first = cache.artifacts(0, &rt, node, &root).clone();
+        let hit = cache.artifacts(0, &rt, node, &root).clone();
         prop_assert_eq!(cache.hits, 1);
-        let fresh = build_artifacts(&rt, node, 8, &root, &mut DetectScratch::default());
+        let fresh = build_artifacts(&rt, node, &root, &mut DetectScratch::default());
         prop_assert_eq!(&first.deviation, &fresh.deviation);
         prop_assert_eq!(&first.retrain, &fresh.retrain);
         prop_assert_eq!(&first.ref_order, &fresh.ref_order);
@@ -483,18 +483,18 @@ proptest! {
         let root = Prng::new(seed ^ 0x17A1E);
         let mut cache = DriftCache::new();
         let node = 1;
-        cache.artifacts(0, &rt, node, 8, &root);
-        cache.artifacts(0, &rt, node, 8, &root);
+        cache.artifacts(0, &rt, node, &root);
+        cache.artifacts(0, &rt, node, &root);
         prop_assert_eq!((cache.hits, cache.misses), (1, 1));
         rt.advance_period();
-        cache.artifacts(0, &rt, node, 8, &root);
+        cache.artifacts(0, &rt, node, &root);
         prop_assert_eq!((cache.hits, cache.misses), (1, 2));
         let slice = rt.pools[node].samples().clone();
         prop_assume!(!slice.is_empty());
         rt.models[node].train_slice(&slice, 1);
-        cache.artifacts(0, &rt, node, 8, &root);
+        cache.artifacts(0, &rt, node, &root);
         prop_assert_eq!((cache.hits, cache.misses), (1, 3));
-        cache.artifacts(0, &rt, node, 8, &root);
+        cache.artifacts(0, &rt, node, &root);
         prop_assert_eq!((cache.hits, cache.misses), (2, 3));
     }
 }
